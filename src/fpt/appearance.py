@@ -6,7 +6,10 @@ alpha(z, p) is the least m with family_m(z) = 0; alpha(1, p) recovers
 the classical entry point of p in the Fibonacci sequence.  For nonzero
 z it always divides p - chi, where chi is +1 / -1 / 0 according to
 whether the quadratic X^2 + (z+2)X + 1 has two roots, none, or a double
-root in F_p, so the scan below index p+2 always terminates.
+root in F_p, so the scan below index p+2 always terminates.  Outside
+z in {0, -4} it is also the multiplicative order of X modulo that
+quadratic (alpha_via_multiplicative_order), the independent route the
+trinomial degree prediction uses.
 """
 
 from __future__ import annotations
@@ -15,14 +18,12 @@ from dataclasses import dataclass
 
 from .errors import ExcludedZ, PIsFive, ZeroArgument
 from .fmp import eval_fp_sequence
-from .gf import make_field, mult_order
 from .numth import (
     divisors_sorted,
     factorize,
     fib_pair,
     legendre,
     primes_upto,
-    sqrt_mod_p,
 )
 
 
@@ -72,68 +73,41 @@ def alpha_divisor_bound(z: int, p: int) -> int:
 
 
 def alpha_via_multiplicative_order(z: int, p: int) -> int:
-    """alpha(z, p) as the multiplicative order of a root r of
-    X^2 + (z+2)X + 1, taken in F_p or F_{p^2} as the discriminant
-    dictates.  Excludes z in {0, -4} where r would be +-1."""
+    """alpha(z, p) as the multiplicative order of the class of X in
+    A = F_p[X]/(X^2 + (z+2)X + 1), that is, of a root r of the quadratic.
+
+    With a nonzero square discriminant A is F_p x F_p (X maps to (r, 1/r),
+    and r and 1/r share one order); otherwise A is F_{p^2}, where
+    r^(p+1) is the constant term 1.  Either way the order divides
+    p - chi, so it is found by stripping prime factors of p - chi, with
+    elements of A kept as pairs (u0, u1) = u0 + u1 X of plain residues.
+    No square root is taken and p = 2 is not special.  Excludes z in
+    {0, -4}, where r would be +-1.
+    """
     z %= p
     if z == 0 or (z + 4) % p == 0:
         raise ExcludedZ("the multiplicative-order route needs z outside {0, -4}")
-    if p == 2:
-        # z = 1: the quadratic is X^2 + X + 1, its roots live in F_4
-        F = make_field(2, 2)
-        root = next(
-            x
-            for x in F.codes()
-            if F.add_code(F.add_code(F.mul_code(x, x), F.mul_code((z + 2) % 2, x)), 1)
-            == 0
-        )
-        return F.order_code(root)
-    disc = (z * z + 4 * z) % p
-    chi = legendre(disc, p)
-    half = pow(2, -1, p)
-    if chi == 1:
-        s = sqrt_mod_p(disc, p)
-        r = (-(z + 2) + s) * half % p
-        F = make_field(p, 1)
-        return mult_order(F.elem(r))
-    F = make_field(p, 2)
-    s = _sqrt_in_field(F, disc % p)
-    r = F.mul_code(
-        F.add_code(F.neg_code((z + 2) % p), s), half % p
-    )
-    return F.order_code(r)
+    c = (z + 2) % p
 
+    def power(e: int) -> tuple[int, int]:
+        # X^e mod X^2 + cX + 1, square-and-multiply on pairs
+        r0, r1, b0, b1 = 1, 0, 0, 1
+        while e:
+            if e & 1:
+                t = r1 * b1
+                r0, r1 = (r0 * b0 - t) % p, (r0 * b1 + r1 * b0 - c * t) % p
+            t = b1 * b1
+            b0, b1 = (b0 * b0 - t) % p, (2 * b0 * b1 - c * t) % p
+            e >>= 1
+        return r0, r1
 
-def _sqrt_in_field(F, a_code: int) -> int:
-    """Tonelli-Shanks in F_{p^m} with a deterministic (ascending-code)
-    non-residue search; q must be odd."""
-    q = F.q
-    if a_code == 0:
-        return 0
-    if F.pow_code(a_code, (q - 1) // 2) != 1:
-        raise ValueError("element is not a square in the field")
-    t, s = q - 1, 0
-    while t % 2 == 0:
-        t //= 2
-        s += 1
-    nonres = next(
-        c for c in range(2, q) if F.pow_code(c, (q - 1) // 2) not in (0, 1)
-    )
-    c = F.pow_code(nonres, t)
-    x = F.pow_code(a_code, (t + 1) // 2)
-    u = F.pow_code(a_code, t)
-    m = s
-    while u != 1:
-        i, u2 = 0, u
-        while u2 != 1:
-            u2 = F.mul_code(u2, u2)
-            i += 1
-        b = F.pow_code(c, 1 << (m - i - 1))
-        x = F.mul_code(x, b)
-        u = F.mul_code(u, F.mul_code(b, b))
-        c = F.mul_code(b, b)
-        m = i
-    return x
+    n = p - discriminant_class(z, p)
+    for f, e in factorize(n).items():
+        for _ in range(e):
+            if power(n // f) != (1, 0):
+                break
+            n //= f
+    return n
 
 
 def alpha_classical(n: int) -> int:

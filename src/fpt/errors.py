@@ -149,9 +149,5 @@ class OrderTooSmall(FptError):
 
 # -- CLI -----------------------------------------------------------------------
 
-class UnknownCommand(FptError):
-    pass
-
-
 class BadParameter(FptError):
     pass

@@ -4,8 +4,9 @@ Elements of F_{p^m} are residue-coefficient vectors relative to a fixed
 monic irreducible modulus of degree m.  The modulus is always the first
 irreducible found when monic polynomials are scanned in ascending order
 of their integer encoding sum(c_i * p^i) (constant term least
-significant), so field construction is deterministic and reproducible.
-Conway polynomials are deliberately not used.
+significant), each candidate tested with the Rabin criterion of
+upoly.is_irreducible, so field construction is deterministic and
+reproducible.  Conway polynomials are deliberately not used.
 
 Internally every element is an integer code sum(c_i * p^i) with all
 c_i in [0, p).  Fields with at most TABLE_LIMIT elements and m >= 2 get
@@ -58,7 +59,7 @@ class FieldDesc:
 
     def _build_tables(self) -> None:
         p, m, q = self.p, self.m, self.q
-        g = self._find_generator()
+        g = self.generator()
         # columns of the multiply-by-g map: g * X^i mod modulus
         xcols = []
         col = g
@@ -138,15 +139,6 @@ class FieldDesc:
             base = self._polymul_code(base, base)
             e >>= 1
         return r
-
-    def _find_generator(self) -> int:
-        fac = factorize(self.q - 1)
-        for cand in range(2, self.q):
-            if all(
-                self._polypow_code(cand, (self.q - 1) // f) != 1 for f in fac
-            ):
-                return cand
-        raise AssertionError("no multiplicative generator found")
 
     # -- code <-> coefficient conversions --------------------------------
 
@@ -257,6 +249,16 @@ class FieldDesc:
                     break
         return n
 
+    def generator(self) -> int:
+        """The smallest code >= 2 of multiplicative order q - 1; before the
+        tables exist pow_code runs table-free, so the table build uses it."""
+        n = self.q - 1
+        fac = factorize(n)
+        for cand in range(2, self.q):
+            if all(self.pow_code(cand, n // f) != 1 for f in fac):
+                return cand
+        raise AssertionError("no multiplicative generator found")
+
     def codes(self) -> range:
         return range(self.q)
 
@@ -360,89 +362,6 @@ class FieldElem:
 # -- module-level operations ----------------------------------------------
 
 
-def _irreducible_rabin(p: int, coeffs: list[int]) -> bool:
-    # Rabin test for a monic polynomial over F_p given as coefficient list;
-    # exact, used only during modulus selection (bootstrap: no FieldDesc yet).
-    m = len(coeffs) - 1
-    if m == 1:
-        return True
-
-    def pmul(a, b):
-        r = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    r[i + j] = (r[i + j] + x * y) % p
-        return r
-
-    def pmod(a):
-        a = list(a)
-        for k in range(len(a) - 1, m - 1, -1):
-            c = a[k]
-            if c:
-                for i in range(m + 1):
-                    a[k - m + i] = (a[k - m + i] - c * coeffs[i]) % p
-        del a[m:]
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
-    def ppow_xq(h):
-        # h(X)^p mod coeffs, square-and-multiply
-        r, base, e = [1], list(h), p
-        while e:
-            if e & 1:
-                r = pmod(pmul(r, base))
-            base = pmod(pmul(base, base))
-            e >>= 1
-        return r
-
-    def pgcd(a, b):
-        a, b = list(a), list(b)
-        while b:
-            # a mod b
-            while len(a) >= len(b):
-                c = a[-1] * pow(b[-1], -1, p) % p
-                s = len(a) - len(b)
-                for i, y in enumerate(b):
-                    a[s + i] = (a[s + i] - c * y) % p
-                while a and a[-1] == 0:
-                    a.pop()
-                if not a:
-                    break
-            a, b = b, a
-        return a
-
-    x = [0, 1]
-    h = list(x)
-    powers = {}
-    for k in range(1, m + 1):
-        h = ppow_xq(h)
-        powers[k] = h
-    hm = powers[m]
-    # X^(p^m) == X mod f
-    diff = list(hm)
-    while len(diff) < 2:
-        diff.append(0)
-    diff[1] = (diff[1] - 1) % p
-    while diff and diff[-1] == 0:
-        diff.pop()
-    if diff:
-        return False
-    for r in factorize(m):
-        h = powers[m // r]
-        d = list(h)
-        while len(d) < 2:
-            d.append(0)
-        d[1] = (d[1] - 1) % p
-        while d and d[-1] == 0:
-            d.pop()
-        g = pgcd(coeffs, d) if d else list(coeffs)
-        if len(g) != 1:
-            return False
-    return True
-
-
 @functools.cache
 def make_field(p: int, m: int) -> FieldDesc:
     """Build (and cache) the deterministic descriptor of F_{p^m}.
@@ -456,36 +375,19 @@ def make_field(p: int, m: int) -> FieldDesc:
         raise CompositeModulusBase(f"{p} is not a prime in [2, 2^20]")
     if m == 1:
         return FieldDesc(p, 1, (0, 1))
+    from .upoly import DensePoly, is_irreducible  # upoly imports this module
+
+    prime = make_field(p, 1)
     for code in range(p**m):
         cs = []
         c = code
         for _ in range(m):
             cs.append(c % p)
             c //= p
-        coeffs = cs + [1]
-        if _irreducible_rabin(p, coeffs):
-            return FieldDesc(p, m, tuple(coeffs))
+        coeffs = tuple(cs) + (1,)
+        if is_irreducible(DensePoly(prime, coeffs)):
+            return FieldDesc(p, m, coeffs)
     raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-def add(x: FieldElem, y: FieldElem) -> FieldElem:
-    return x + y
-
-
-def sub(x: FieldElem, y: FieldElem) -> FieldElem:
-    return x - y
-
-
-def mul(x: FieldElem, y: FieldElem) -> FieldElem:
-    return x * y
-
-
-def inv(x: FieldElem) -> FieldElem:
-    return FieldElem(x.field, x.field.inv_code(x.code))
-
-
-def pow_elem(x: FieldElem, e: int) -> FieldElem:
-    return x**e
 
 
 def frobenius(x: FieldElem, k: int = 1) -> FieldElem:
@@ -509,3 +411,23 @@ def enumerate_elements(field: FieldDesc, budget: int = DEFAULT_BUDGET):
 def subfield_membership(x: FieldElem, d: int) -> bool:
     """x lies in F_{p^d} (for d dividing m) iff Frobenius^d fixes x."""
     return x.field.frob_code(x.code, d) == x.code
+
+
+def frobenius_orbit_minpoly(field: FieldDesc, t: int) -> tuple[list[int], list[int]]:
+    """The Frobenius orbit t, t^p, t^(p^2), ... of a code, and the
+    coefficient codes (constant term first) of the product of X - u over
+    that orbit, computed in the field: the minimal polynomial of t over
+    F_p, so its coefficients lie in the prime subfield."""
+    orbit = [t]
+    u = field.frob_code(t, 1)
+    while u != t:
+        orbit.append(u)
+        u = field.frob_code(u, 1)
+    cs = [1]
+    for root in orbit:
+        nxt = [0] * (len(cs) + 1)
+        for i, c in enumerate(cs):
+            nxt[i + 1] = field.add_code(nxt[i + 1], c)
+            nxt[i] = field.sub_code(nxt[i], field.mul_code(c, root))
+        cs = nxt
+    return orbit, cs

@@ -11,6 +11,7 @@ coefficients are exact arbitrary-precision integers.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb
 
 from .errors import ZeroResidue
@@ -66,44 +67,38 @@ def fib_poly(m: int) -> IntPoly:
     return cur if m >= 1 else prev
 
 
-def lehmer_U(n: int, Z: int, Q: int) -> int:
-    """The parity-alternating Lehmer term: U_0 = 0, U_1 = 1, then
-    Z U_{n-1} - Q U_{n-2} for odd n and U_{n-1} - Q U_{n-2} for even."""
+def _lehmer_terms(Z: int):
+    """U_0, U_1, U_2, ... of lehmer_U at Z, as exact integers."""
+    a, b = 0, 1  # U_0, U_1
+    k = 0
+    while True:
+        yield a
+        k += 1
+        a, b = b, (Z * b if k % 2 == 0 else b) + a
+
+
+def lehmer_U(n: int, Z: int) -> int:
+    """The parity-alternating Lehmer term with Q = -1: U_0 = 0, U_1 = 1,
+    then Z U_{n-1} + U_{n-2} for odd n and U_{n-1} + U_{n-2} for even."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    a, b = 0, 1  # U_0, U_1
-    for k in range(2, n + 1):
-        if k % 2 == 1:
-            a, b = b, Z * b - Q * a
-        else:
-            a, b = b, b - Q * a
-    return b if n >= 1 else a
+    return next(islice(_lehmer_terms(Z), n, None))
 
 
 def mv_value(n: int, Z: int) -> int:
     """The integer Morgan-Voyce value MV_n(Z) = U_n(sqrt(Z), -1)."""
-    return lehmer_U(n, Z, -1)
+    return lehmer_U(n, Z)
 
 
 def mv_apparition(z: int, p: int, Z: int) -> int:
-    """Least m with p dividing MV_m(Z), for an integer lift Z of the
+    """Least m >= 2 with p dividing MV_m(Z), for an integer lift Z of the
     nonzero residue z; computed on exact integer values."""
     z %= p
     if z == 0:
         raise ZeroResidue("apparition needs a nonzero residue")
     if Z % p != z:
         raise ValueError(f"{Z} is not a lift of {z} mod {p}")
-    a, b = 0, 1
-    for m in range(2, p + 2):
-        if m % 2 == 1:
-            a, b = b, Z * b + a
-        else:
-            a, b = b, b + a
-        if b % p == 0:
+    for m, u in enumerate(islice(_lehmer_terms(Z), p + 2)):
+        if m >= 2 and u % p == 0:
             return m
     raise AssertionError(f"no apparition index <= p+1 for z={z}, p={p}")
-
-
-def mv_value_table(n_max: int, Z: int) -> list[int]:
-    """MV_1(Z) .. MV_nmax(Z) as exact integers."""
-    return [mv_value(n, Z) for n in range(1, n_max + 1)]

@@ -24,7 +24,7 @@ from .errors import (
     WrongField,
 )
 from .fmp import degree_formula, eval_fp
-from .gf import DEFAULT_BUDGET, FieldDesc
+from .gf import DEFAULT_BUDGET, FieldDesc, frobenius_orbit_minpoly
 from .upoly import DensePoly
 
 
@@ -35,9 +35,6 @@ class Plane:
     field: FieldDesc
     u: int
     v: int
-
-    def basis_vectors(self) -> tuple[list[int], list[int]]:
-        return self.field.to_coeffs(self.u), self.field.to_coeffs(self.v)
 
     def contains_prime_field(self) -> bool:
         # F_p = span{1}; membership is solvable since the basis is echelon
@@ -166,13 +163,6 @@ class OrbitCensus:
         }
 
 
-def _find_generator_code(field: FieldDesc) -> int:
-    for code in range(2, field.q):
-        if field.order_code(code) == field.q - 1:
-            return code
-    raise AssertionError("no generator")
-
-
 def orbit_count(p: int, m: int, budget: int = DEFAULT_BUDGET) -> OrbitCensus:
     """Formula value and an independent union-find enumeration of the
     dilation orbits (one generator step per plane suffices)."""
@@ -189,7 +179,7 @@ def orbit_count(p: int, m: int, budget: int = DEFAULT_BUDGET) -> OrbitCensus:
             i = parent[i]
         return i
 
-    g = _find_generator_code(field)
+    g = field.generator()
     for i, pl in enumerate(planes):
         gu = field.mul_code(g, pl.u)
         gv = field.mul_code(g, pl.v)
@@ -304,23 +294,10 @@ def oracle_fmp(field: FieldDesc, budget: int = DEFAULT_BUDGET) -> DensePoly:
     remaining = set(z_circ)
     minpolys: list[list[int]] = []
     while remaining:
-        z = remaining.pop()
-        orbit = [z]
-        t = field.frob_code(z, 1)
-        while t != z:
-            if t not in remaining:
-                raise AssertionError("value set is not Frobenius-stable")
-            remaining.remove(t)
-            orbit.append(t)
-            t = field.frob_code(t, 1)
-        # minimal polynomial of the orbit, computed in the big field
-        cs = [1]
-        for root in orbit:
-            nxt = [0] * (len(cs) + 1)
-            for i, c in enumerate(cs):
-                nxt[i + 1] = field.add_code(nxt[i + 1], c)
-                nxt[i] = field.sub_code(nxt[i], field.mul_code(c, root))
-            cs = nxt
+        orbit, cs = frobenius_orbit_minpoly(field, remaining.pop())
+        if not remaining.issuperset(orbit[1:]):
+            raise AssertionError("value set is not Frobenius-stable")
+        remaining.difference_update(orbit)
         for c in cs:
             if c >= p:
                 raise CoefficientNotInPrimeField(

@@ -8,15 +8,15 @@ gamma_z(X) = X^(p+1) + (1+z) X^p + X + 1 encodes the fiber of the orbit
 invariant over z: its roots are the I_0-labels of the pencil planes.
 With zeta = b/a^2 and z = 1/zeta, the trinomial's irreducible factors
 all share one degree m (the order of appearance of z), apart from the
-explicit linear content, and m is the multiplicative order of a root of
-zeta X^2 + (2 zeta + 1) X + zeta.
+explicit linear content, and m is the multiplicative order of X modulo
+the quadratic X^2 + (z+2)X + 1 (the order of either of its roots).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .appearance import alpha_zp, discriminant_class, sigma_map
+from .appearance import alpha_via_multiplicative_order, alpha_zp, discriminant_class, sigma_map
 from .dickson import i0_code
 from .errors import (
     BudgetExceeded,
@@ -26,7 +26,7 @@ from .errors import (
     ZeroResidue,
     ZeroZ,
 )
-from .gf import DEFAULT_BUDGET, make_field
+from .gf import DEFAULT_BUDGET, frobenius_orbit_minpoly, make_field
 from .numth import sqrt_mod_p
 from .planes import canonical_plane
 from .upoly import (
@@ -173,56 +173,19 @@ def predict_degrees(a: int, b: int, p: int) -> DegreeMultiset:
     predicted without factoring.
 
     b = 0 gives X (X-a)^p; otherwise the multiset follows the branch of
-    zeta = b/a^2, with m the multiplicative order of a root r of
-    zeta X^2 + (2 zeta + 1) X + zeta (equivalently of X^2 + (z+2)X + 1
-    for z = 1/zeta) in F_p or F_{p^2}.
+    zeta = b/a^2, with m the multiplicative order of X modulo
+    X^2 + (z+2)X + 1 for z = 1/zeta, which divides p - 1 on the square
+    branch and p + 1 on the non-square one.
     """
     case = classify(a, b, p)
     if case.branch == BRANCH_ZERO:
         return DegreeMultiset.from_dict({1: p + 1})
     if case.branch == BRANCH_QUARTER:
         return DegreeMultiset.from_dict({1: 1, p: 1})
-    z = case.z
+    m = alpha_via_multiplicative_order(case.z, p)
     if case.branch == BRANCH_SQUARE:
-        r = min(linear_roots(z, p))
-        m = _order_mod_p(r, p)
-        if (p - 1) % m:
-            raise AssertionError("factor count (p-1)/m is not integral")
         return DegreeMultiset.from_dict({1: 2, m: (p - 1) // m})
-    m = _order_in_quadratic_extension(z, p)
-    if (p + 1) % m:
-        raise AssertionError("factor count (p+1)/m is not integral")
     return DegreeMultiset.from_dict({m: (p + 1) // m})
-
-
-def _order_mod_p(r: int, p: int) -> int:
-    return make_field(p, 1).order_code(r % p)
-
-
-def _order_in_quadratic_extension(z: int, p: int) -> int:
-    """Multiplicative order of a root of X^2 + (z+2)X + 1 in F_{p^2}
-    (non-square discriminant branch)."""
-    F = make_field(p, 2)
-    c1 = (z + 2) % p
-    root = None
-    if p == 2:
-        for x in F.codes():
-            val = F.add_code(
-                F.add_code(F.mul_code(x, x), F.mul_code(c1, x)), 1
-            )
-            if val == 0:
-                root = x
-                break
-    else:
-        from .appearance import _sqrt_in_field
-
-        disc = (z * z + 4 * z) % p
-        s = _sqrt_in_field(F, disc)
-        half = pow(2, -1, p)
-        root = F.mul_code(F.add_code(F.neg_code(c1), s), half)
-    if root is None:
-        raise AssertionError("quadratic had no root in its splitting field")
-    return F.order_code(root)
 
 
 def verify_degrees(
@@ -321,14 +284,11 @@ def generate_irreducible(
     if m < 3:
         raise OrderTooSmall("need order at least 3")
     if (p - 1) % m == 0:
-        F = make_field(p, 1)
-        g = next(c for c in range(2, p) if F.order_code(c) == p - 1)
-        r = pow(g, (p - 1) // m, p)
+        r = pow(make_field(p, 1).generator(), (p - 1) // m, p)
         z = sigma_map(r, p)
     elif (p + 1) % m == 0:
         F2 = make_field(p, 2)
-        g = next(c for c in range(2, F2.q) if F2.order_code(c) == F2.q - 1)
-        r = F2.pow_code(g, (F2.q - 1) // m)
+        r = F2.pow_code(F2.generator(), (F2.q - 1) // m)
         z_code = F2.neg_code(
             F2.add_code(F2.add_code(r, 2 % p), F2.inv_code(r))
         )
@@ -342,20 +302,7 @@ def generate_irreducible(
         out = gbar
     elif p**m <= budget:
         field, roots = _gamma_bar_roots(z, p, budget)
-        t = min(roots)
-        cs = [1]
-        orbit = [t]
-        u = field.frob_code(t, 1)
-        while u != t:
-            orbit.append(u)
-            u = field.frob_code(u, 1)
-        for root in orbit:
-            nxt = [0] * (len(cs) + 1)
-            for i, c in enumerate(cs):
-                nxt[i + 1] = field.add_code(nxt[i + 1], c)
-                nxt[i] = field.sub_code(nxt[i], field.mul_code(c, root))
-            cs = nxt
-        out = DensePoly.make(make_field(p, 1), cs)
+        out = DensePoly.make(make_field(p, 1), frobenius_orbit_minpoly(field, min(roots))[1])
     else:
         out = equal_degree_split(gbar, m, seed)[0]
     if out.degree != m or not is_irreducible(out):

@@ -264,25 +264,6 @@ class DensePoly:
         return f"DensePoly(p={self.field.p}, m={self.field.m}, coeffs={list(self.coeffs)})"
 
 
-# -- function-style wrappers --
-
-
-def poly_add(f: DensePoly, g: DensePoly) -> DensePoly:
-    return f + g
-
-
-def poly_sub(f: DensePoly, g: DensePoly) -> DensePoly:
-    return f - g
-
-
-def poly_mul(f: DensePoly, g: DensePoly) -> DensePoly:
-    return f * g
-
-
-def poly_mod(f: DensePoly, g: DensePoly) -> DensePoly:
-    return f % g
-
-
 def poly_gcd(f: DensePoly, g: DensePoly) -> DensePoly:
     """Monic greatest common divisor."""
     f._check(g)
@@ -481,32 +462,26 @@ def distinct_degree_factor(f: DensePoly) -> DegreeMultiset:
 
 
 def is_irreducible(f: DensePoly) -> bool:
-    """Rabin irreducibility criterion over the coefficient field."""
+    """Rabin irreducibility criterion over the coefficient field: f of
+    degree n is irreducible iff X^(q^n) = X mod f and X^(q^(n/r)) - X is
+    coprime to f for every prime r dividing n.  Each gcd runs as soon as
+    the chain X^q, X^(q^2), ... reaches its power, so most reducible f
+    are rejected before the chain reaches X^(q^n)."""
     if f.is_constant():
         raise ConstantInput("constants are neither irreducible nor reducible here")
     n = f.degree
     if n == 1:
         return True
     field = f.field
-    q = field.q
-    ctx = _ModCtx(field, list(f.monic().coeffs))
-    needed = sorted({n // r for r in factorize(n)} | {n})
-    h = ctx.reduce([0, 1])
-    powers: dict[int, list[int]] = {}
-    k = 0
-    for target in needed:
-        while k < target:
-            h = ctx.powmod(h, q)
-            k += 1
-        powers[target] = list(h)
-    if _raw_sub(field, powers[n], [0, 1]):
-        return False
-    for r in factorize(n):
-        diff = _raw_sub(field, powers[n // r], [0, 1])
-        g = _raw_gcd(field, list(f.coeffs), diff) if diff else list(f.monic().coeffs)
-        if len(g) != 1:
+    monic = list(f.monic().coeffs)
+    ctx = _ModCtx(field, monic)
+    gcd_at = {n // r for r in factorize(n)}
+    h = [0, 1]
+    for k in range(1, n + 1):
+        h = ctx.powmod(h, field.q)
+        if k in gcd_at and len(_raw_gcd(field, monic, _raw_sub(field, h, [0, 1]))) != 1:
             return False
-    return True
+    return not _raw_sub(field, h, [0, 1])
 
 
 def equal_degree_split(f: DensePoly, d: int, seed: int = 0) -> list[DensePoly]:

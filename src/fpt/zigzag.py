@@ -32,25 +32,6 @@ _ENUM_LIMIT = 40
 _SEARCH_LIMIT = 30
 
 
-class FibCache:
-    """Signed Fibonacci values Fib(k) for |k| <= span, precomputed."""
-
-    def __init__(self, span: int):
-        self.span = span
-        vals = [0, 1]
-        for _ in range(span - 1):
-            vals.append(vals[-1] + vals[-2])
-        self._pos = vals  # Fib(0..span)
-
-    def __call__(self, k: int) -> int:
-        if abs(k) > self.span:
-            raise IndexError(f"index {k} outside cache span {self.span}")
-        if k >= 0:
-            return self._pos[k]
-        f = self._pos[-k]
-        return f if k % 2 == 1 else -f
-
-
 def _check_bits(bits: Iterable[int]) -> tuple[int, ...]:
     out = tuple(bits)
     for b in out:

@@ -1,6 +1,8 @@
 """Order-of-appearance computations and scans."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fpt.appearance import (
     alpha_any,
@@ -161,6 +163,14 @@ def test_alpha_cross_validation_small():
             if (z + 4) % p == 0:
                 continue
             assert alpha_via_multiplicative_order(z, p) == alpha_zp(z, p).alpha
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.sampled_from(primes_upto(500)), st.integers(1, 498))
+def test_alpha_routes_agree_at_random_points(p, z):
+    z %= p
+    assume(z != 0 and (z + 4) % p != 0)
+    assert alpha_via_multiplicative_order(z, p) == alpha_zp(z, p).alpha
 
 
 def test_divisor_law_all_small_primes():

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpt import gf
 from fpt.errors import (
@@ -44,11 +46,11 @@ def test_prime_field_arithmetic():
     F = gf.make_field(19, 1)
     two, ten = F.elem(2), F.elem(10)
     assert (two * ten).code == 1  # the inverse pair (2, 10)
-    assert gf.inv(F.one()).code == 1
+    assert (F.one() / F.one()).code == 1
     assert (F.elem(7) + F.elem(15)).code == 3
     assert (-F.elem(4)).code == 15
     with pytest.raises(DivisionByZero):
-        gf.inv(F.zero())
+        F.one() / F.zero()
 
 
 def test_f9_multiplication_and_frobenius():
@@ -175,5 +177,23 @@ def test_arithmetic_only_field_beyond_table_limit():
     x = F.gen()
     y = x ** (2**20 + 3)
     assert gf.frobenius(y, 30) == y
-    assert (y * gf.inv(y)).code == 1
+    assert (y / y).code == 1
     assert (F.q - 1) % gf.mult_order(x) == 0
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.sampled_from(
+    [(3, 1), (5, 1), (7, 1), (101, 1), (2, 2), (2, 3), (2, 5), (2, 8),
+     (3, 2), (3, 3), (3, 5), (5, 2), (5, 3), (7, 2), (7, 3), (11, 2)]
+))
+def test_generator_is_smallest_primitive_code(pm):
+    F = gf.make_field(*pm)
+
+    def order(c):
+        k, x = 1, c
+        while x != 1:
+            x = F.mul_code(x, c)
+            k += 1
+        return k
+
+    assert F.generator() == next(c for c in range(2, F.q) if order(c) == F.q - 1)

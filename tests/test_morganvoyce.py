@@ -80,12 +80,12 @@ def test_fib_poly_morgan_voyce_bridge():
 
 
 def test_lehmer_values():
-    assert lehmer_U(0, 5, -1) == 0
-    assert lehmer_U(1, 5, -1) == 1
-    assert lehmer_U(2, 5, -1) == 1
-    # Q = -1 at Z = 1 gives plain Fibonacci numbers
+    assert lehmer_U(0, 5) == 0
+    assert lehmer_U(1, 5) == 1
+    assert lehmer_U(2, 5) == 1
+    # Z = 1 gives plain Fibonacci numbers
     for n in range(25):
-        assert lehmer_U(n, 1, -1) == fib(n)
+        assert lehmer_U(n, 1) == fib(n)
     # Morgan-Voyce values are the family at the integer point
     for Z in (2, 3, 5):
         for n in range(21):

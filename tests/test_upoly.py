@@ -1,8 +1,11 @@
 """Polynomial arithmetic and factorization tests."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpt import upoly
 from fpt.errors import ConstantInput, ConstantModulus, FieldMismatch
@@ -178,6 +181,23 @@ def test_is_irreducible_agrees_with_ddf():
         f = DensePoly.make(F, cs)
         expected = distinct_degree_factor(f) == DegreeMultiset.from_dict({f.degree: 1})
         assert is_irreducible(f) == expected
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from((2, 3, 5)).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p - 1), min_size=1, max_size=6))
+))
+def test_is_irreducible_matches_trial_division(case):
+    p, low = case
+    F = make_field(p, 1)
+    f = DensePoly.make(F, low + [1])
+    n = f.degree
+    has_factor = any(
+        (f % DensePoly.make(F, list(tail) + [1])).is_zero()
+        for d in range(1, n // 2 + 1)
+        for tail in itertools.product(range(p), repeat=d)
+    )
+    assert is_irreducible(f) == (not has_factor)
 
 
 def test_is_irreducible_examples():
