@@ -4,9 +4,16 @@ polynomials with arbitrary-precision coefficients.
 Polynomials are coefficient vectors, constant term first, trimmed so the
 leading coefficient is nonzero (the zero polynomial is the empty
 vector).  Coefficients are field codes (plain residues over a prime
-field).  Multiplication and reduction switch to numpy kernels over prime
-fields once vectors are long enough to pay for the call overhead;
-extension fields go through the table-backed code arithmetic of gf.
+field).  Over prime fields, multiplication switches to numpy once the
+vectors are long enough to pay for the call overhead, and division once
+the divisor is; extension fields go through the table-backed code
+arithmetic of gf.  Powers modulo a fixed polynomial f of degree n go by
+square-and-multiply, except repeated p-th powers over F_p: h -> h^p is
+F_p-linear on F_p[X]/(f), so a reduction context builds the Frobenius
+matrix of f once and then takes each p-th power as one matrix-vector
+product.  All numpy arithmetic is int64, exact while a dot product of n
+residues stays below n*(p-1)^2 < 2^63, which holds for every n below
+2^23 since p <= 2^20.
 
 Factoring support covers exactly what the rest of the library needs:
 squarefree decomposition (with the p-th-root branch for vanishing
@@ -30,6 +37,9 @@ from .gf import FieldDesc, make_field
 from .numth import factorize
 
 _NP_MUL_THRESHOLD = 24
+# divisor length from which a numpy slice per quotient coefficient beats
+# the pure-Python loop; the two tie at 40-48 coefficients over F_31,
+# F_251 and F_1048573 whatever the quotient length
 _NP_MOD_THRESHOLD = 48
 
 
@@ -90,22 +100,34 @@ def _raw_divmod(
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
         return [], list(a)
-    if field.m == 1 and len(a) >= _NP_MOD_THRESHOLD:
+    nb = len(b)
+    if field.m == 1 and nb >= _NP_MOD_THRESHOLD:
         return _np_divmod(field.p, a, b)
     rem = list(a)
+    quot = [0] * (len(a) - nb + 1)
+    if field.m == 1:
+        # rem is reduced mod p only where it is read
+        p = field.p
+        inv_lead = pow(b[-1], -1, p)
+        for k in range(len(a) - nb, -1, -1):
+            c = rem[k + nb - 1] * inv_lead % p
+            if c:
+                quot[k] = c
+                for i in range(nb - 1):
+                    rem[k + i] -= c * b[i]
+        return _trim(quot), _trim([v % p for v in rem[: nb - 1]])
     inv_lead = field.inv_code(b[-1])
-    quot = [0] * (len(a) - len(b) + 1)
     mul = field.mul_code
     sub = field.sub_code
-    for k in range(len(a) - len(b), -1, -1):
-        c = rem[k + len(b) - 1]
+    for k in range(len(a) - nb, -1, -1):
+        c = rem[k + nb - 1]
         if c:
             c = mul(c, inv_lead)
             quot[k] = c
             for i, y in enumerate(b):
                 if y:
                     rem[k + i] = sub(rem[k + i], mul(c, y))
-    return _trim(quot), _trim(rem[: len(b) - 1])
+    return _trim(quot), _trim(rem[: nb - 1])
 
 
 def _np_divmod(p: int, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -113,14 +135,15 @@ def _np_divmod(p: int, a: list[int], b: list[int]) -> tuple[list[int], list[int]
     bv = np.array(b, dtype=np.int64)
     nb = len(b)
     inv_lead = pow(b[-1], -1, p)
-    quot = np.zeros(len(a) - nb + 1, dtype=np.int64)
+    quot = [0] * (len(a) - nb + 1)
     for k in range(len(a) - nb, -1, -1):
-        c = rem[k + nb - 1] % p
+        c = int(rem[k + nb - 1]) * inv_lead % p
         if c:
-            c = c * inv_lead % p
             quot[k] = c
-            rem[k : k + nb] = (rem[k : k + nb] - c * bv) % p
-    return _trim(quot.tolist()), _trim(rem[: nb - 1].tolist())
+            seg = rem[k : k + nb]  # a view: updates rem in place
+            seg -= c * bv
+            seg %= p
+    return _trim(quot), _trim(rem[: nb - 1].tolist())
 
 
 def _raw_gcd(field: FieldDesc, a: list[int], b: list[int]) -> list[int]:
@@ -274,8 +297,10 @@ def poly_gcd(f: DensePoly, g: DensePoly) -> DensePoly:
 
 class _ModCtx:
     """Reduction context for repeated multiplication modulo a fixed
-    nonconstant polynomial; over prime fields the reduction uses a
-    precomputed numpy matrix of X^k mod f rows."""
+    nonconstant polynomial f of degree n.  Over prime fields the reduction
+    uses a precomputed numpy matrix of X^k mod f rows, and the second
+    p-th power taken in a context builds the Frobenius matrix Q (row i is
+    X^(i*p) mod f), after which h^p is the single product h @ Q mod p."""
 
     def __init__(self, field: FieldDesc, mod: list[int]):
         if len(mod) < 2:
@@ -284,6 +309,8 @@ class _ModCtx:
         self.mod = list(mod)
         self.n = len(mod) - 1
         self.np_ok = field.m == 1 and self.n >= 2
+        self.frob: np.ndarray | None = None
+        self.p_powers = 0
         if self.np_ok:
             p = field.p
             n = self.n
@@ -330,18 +357,52 @@ class _ModCtx:
     def powmod(self, a: list[int], e: int) -> list[int]:
         if e < 0:
             raise ValueError("negative exponent in powmod")
-        result = [1]
         base = self.reduce(list(a))
+        if self.np_ok and e == self.p:
+            # a one-off p-th power is cheaper by squaring than Q's n products
+            self.p_powers += 1
+            if self.p_powers == 2:
+                self.frob = self._frobenius_matrix()
+            if self.frob is not None:
+                if not base:
+                    return []
+                h = np.asarray(base, dtype=np.int64)
+                return _trim((h @ self.frob[: len(base)] % self.p).tolist())
+        return self._square_multiply(base, e)
+
+    def _square_multiply(self, base: list[int], e: int) -> list[int]:
+        result = [1]
         while e:
             if e & 1:
                 result = self.mulmod(result, base)
-            base = self.mulmod(base, base)
             e >>= 1
+            if e:
+                base = self.mulmod(base, base)
         return result
+
+    def _frobenius_matrix(self) -> np.ndarray:
+        # shift[j] = X^(p+j) mod f is multiplication by X^p, so row i of Q
+        # is row i-1 times shift; shift is dropped once Q is built
+        n, p = self.n, self.p
+        x_n = self.rows[0]  # X^n mod f
+        row = np.zeros(n, dtype=np.int64)
+        xp = self._square_multiply([0, 1], p)
+        row[: len(xp)] = xp
+        shift = np.empty((n, n), dtype=np.int64)
+        for j in range(n):
+            shift[j] = row
+            row = (np.concatenate(([0], row[:-1])) + row[-1] * x_n) % p
+        frob = np.zeros((n, n), dtype=np.int64)
+        frob[0, 0] = 1
+        for i in range(1, n):
+            frob[i] = frob[i - 1] @ shift % p
+        return frob
 
 
 def poly_powmod(f: DensePoly, e: int, mod: DensePoly) -> DensePoly:
-    """f**e reduced modulo a nonconstant polynomial, square-and-multiply."""
+    """f**e reduced modulo a nonconstant polynomial.  A single call squares
+    and multiplies: the Frobenius matrix pays only for repeated p-th
+    powers in one _ModCtx, as the distinct-degree loop takes them."""
     f._check(mod)
     if mod.is_constant():
         raise ConstantModulus("powmod modulus must be nonconstant")

@@ -162,6 +162,23 @@ def test_verify_degrees_p19_spot():
     assert ok
 
 
+@pytest.mark.parametrize("p, b, expected", [
+    # a = 1; b picks the branch, and for the two quadratic branches a root
+    # order of p + 1 or p - 1, so the factorization takes every DDF step
+    (101, 0, {1: 102}),
+    (101, 7, {102: 1}),
+    (101, 2, {1: 2, 100: 1}),
+    (101, 25, {1: 1, 101: 1}),
+    (251, 0, {1: 252}),
+    (251, 7, {252: 1}),
+    (251, 1, {1: 2, 250: 1}),
+    (251, 188, {1: 1, 251: 1}),
+])
+def test_verify_degrees_max_order_large_p(p, b, expected):
+    predicted, actual, ok = verify_degrees(1, b, p)
+    assert ok and actual == DegreeMultiset.from_dict(expected)
+
+
 def test_splitting_degrees_match_alpha():
     # all non-linear factors of gamma_bar share degree alpha(z, p)
     from fpt.appearance import alpha_zp

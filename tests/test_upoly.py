@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +117,53 @@ def test_powmod_x_p_not_fixed_by_gamma_bar_5():
     assert poly_powmod(DensePoly.x(F), 19, quot) != DensePoly.x(F)
 
 
+def _square_multiply(ctx, h, e):
+    # the route the Frobenius matrix replaces, built from ctx.mulmod alone
+    result, base = [1], ctx.reduce(list(h))
+    while e:
+        if e & 1:
+            result = ctx.mulmod(result, base)
+        base = ctx.mulmod(base, base)
+        e >>= 1
+    return result
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from((2, 3, 5, 31, 251, 1048573)).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.integers(2, 80).flatmap(lambda n: st.lists(st.integers(0, p - 1), min_size=n, max_size=n)),
+    st.integers(1, p - 1) | st.just(1),
+    st.lists(st.lists(st.integers(0, p - 1), max_size=200), min_size=2, max_size=4),
+)))
+def test_frobenius_matrix_matches_square_and_multiply(case):
+    p, low, lead, hs = case
+    ctx = upoly._ModCtx(make_field(p, 1), low + [lead])
+    for i, h in enumerate(map(upoly._trim, hs)):
+        assert ctx.powmod(h, p) == _square_multiply(ctx, h, p)
+        assert (ctx.frob is None) == (i == 0)
+    assert ctx.powmod([0, 1], 2 * p) == _square_multiply(ctx, [0, 1], 2 * p)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from((2, 3, 31, 251, 1048573)).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.lists(st.integers(0, p - 1), max_size=240),
+    st.lists(st.integers(0, p - 1), max_size=120),
+    st.integers(1, p - 1),
+)))
+def test_np_divmod_matches_the_python_loop(case):
+    # divisors of 1 to 121 coefficients fall on both sides of _NP_MOD_THRESHOLD
+    p, a, b_low, lead = case
+    field = make_field(p, 1)
+    b = b_low + [lead]
+    with mock.patch.object(upoly, "_NP_MOD_THRESHOLD", 10**9):
+        q, r = upoly._raw_divmod(field, a, b)
+    if len(a) >= len(b):
+        assert upoly._np_divmod(p, a, b) == (q, r)
+    assert len(r) < len(b)
+    assert upoly._raw_add(field, upoly._raw_mul(field, q, b), r) == upoly._trim(list(a))
+
+
 def test_ddf_gamma_examples_f19():
     assert distinct_degree_factor(gamma_poly(5, 19)) == DegreeMultiset.from_dict(
         {1: 2, 18: 1}
@@ -156,6 +204,15 @@ def test_ddf_degree_sum_randomized():
         assert ms.total_degree == f.degree
 
 
+def _assert_ddf_rebuilds_squarefree_parts(f):
+    for part, _ in squarefree_decomposition(f):
+        prod = DensePoly.one(f.field)
+        for d, w in upoly._ddf_squarefree(part):
+            assert w.degree % d == 0
+            prod = prod * w
+        assert prod == part
+
+
 def test_ddf_reconstruction_of_squarefree_part():
     rng = random.Random(23)
     for _ in range(60):
@@ -163,12 +220,16 @@ def test_ddf_reconstruction_of_squarefree_part():
         F = make_field(p, 1)
         cs = [rng.randrange(p) for _ in range(rng.randrange(3, 20))]
         cs.append(1)
-        f = DensePoly.make(F, cs)
-        for part, _ in squarefree_decomposition(f):
-            prod = DensePoly.one(F)
-            for _, w in upoly._ddf_squarefree(part):
-                prod = prod * w
-            assert prod == part
+        _assert_ddf_rebuilds_squarefree_parts(DensePoly.make(F, cs))
+
+
+def test_ddf_reconstruction_over_f251():
+    # degrees 60-120 put the gcd divisors on the numpy path and Q at n > 48
+    rng = random.Random(251)
+    F = make_field(251, 1)
+    for _ in range(6):
+        cs = [rng.randrange(251) for _ in range(rng.randrange(60, 121))] + [1]
+        _assert_ddf_rebuilds_squarefree_parts(DensePoly.make(F, cs))
 
 
 def test_is_irreducible_agrees_with_ddf():
