@@ -4,9 +4,11 @@ Elements of F_{p^m} are residue-coefficient vectors relative to a fixed
 monic irreducible modulus of degree m.  The modulus is always the first
 irreducible found when monic polynomials are scanned in ascending order
 of their integer encoding sum(c_i * p^i) (constant term least
-significant), each candidate tested with the Rabin criterion of
+significant), each candidate tested with Ben-Or's criterion in
 upoly.is_irreducible, so field construction is deterministic and
-reproducible.  Conway polynomials are deliberately not used.
+reproducible.  Conway polynomials are deliberately not used.  Only the
+moduli are polynomials: upoly works over F_p alone, and every element
+of F_{p^m} is handled here, as a code.
 
 Internally every element is an integer code sum(c_i * p^i) with all
 c_i in [0, p).  Fields with at most TABLE_LIMIT elements and m >= 2 get
@@ -22,6 +24,7 @@ used by enumeration sweeps; FieldElem wraps a code for the typed API.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -378,13 +381,10 @@ def make_field(p: int, m: int) -> FieldDesc:
     from .upoly import DensePoly, is_irreducible  # upoly imports this module
 
     prime = make_field(p, 1)
-    for code in range(p**m):
-        cs = []
-        c = code
-        for _ in range(m):
-            cs.append(c % p)
-            c //= p
-        coeffs = tuple(cs) + (1,)
+    # product() varies the last digit fastest: reversed, the tuples run
+    # through the codes sum(c_i * p^i) in ascending order
+    for digits in itertools.product(range(p), repeat=m):
+        coeffs = digits[::-1] + (1,)
         if is_irreducible(DensePoly(prime, coeffs)):
             return FieldDesc(p, m, coeffs)
     raise AssertionError("no irreducible polynomial found")  # unreachable

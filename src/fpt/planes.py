@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dickson import nu_code, nu_point_code
 from .errors import (
     BudgetExceeded,
@@ -24,7 +22,7 @@ from .errors import (
     WrongField,
 )
 from .fmp import degree_formula, eval_fp
-from .gf import DEFAULT_BUDGET, FieldDesc, frobenius_orbit_minpoly
+from .gf import DEFAULT_BUDGET, FieldDesc, frobenius_orbit_minpoly, make_field
 from .upoly import DensePoly
 
 
@@ -286,13 +284,13 @@ def pencil(z: int, field: FieldDesc, budget: int = DEFAULT_BUDGET) -> Pencil:
 
 
 def oracle_fmp(field: FieldDesc, budget: int = DEFAULT_BUDGET) -> DensePoly:
-    """The family member as a root product: monic, squarefree, with one
-    root per nonzero invariant value; coefficients must land in the
-    prime subfield (checked via Frobenius-orbit minimal polynomials)."""
+    """The family member as a root product over F_p: monic, squarefree,
+    with one root per nonzero invariant value; coefficients must land in
+    the prime subfield (checked via Frobenius-orbit minimal polynomials)."""
     _, z_circ = z_values(field, budget=budget)
     p = field.p
     remaining = set(z_circ)
-    minpolys: list[list[int]] = []
+    poly = DensePoly.one(make_field(p, 1))
     while remaining:
         orbit, cs = frobenius_orbit_minpoly(field, remaining.pop())
         if not remaining.issuperset(orbit[1:]):
@@ -303,12 +301,7 @@ def oracle_fmp(field: FieldDesc, budget: int = DEFAULT_BUDGET) -> DensePoly:
                 raise CoefficientNotInPrimeField(
                     f"orbit product coefficient {field.to_coeffs(c)} left F_p"
                 )
-        minpolys.append(cs)
-    prod = np.array([1], dtype=np.int64)
-    for cs in minpolys:
-        prod = np.convolve(prod, np.array(cs, dtype=np.int64)) % p
-    coeffs = [int(c) for c in prod]
-    poly = DensePoly(field, tuple(coeffs))
+        poly = poly * DensePoly(poly.field, tuple(cs))
     if poly.degree != degree_formula(field.m, p) or not poly.is_monic():
         raise AssertionError("root product has the wrong shape")
     return poly

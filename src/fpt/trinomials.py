@@ -157,10 +157,7 @@ def linear_roots(z: int, p: int) -> frozenset[int]:
         return frozenset({1})
     if chi == -1:
         return frozenset()
-    if p == 2:
-        return frozenset(
-            x for x in range(2) if (x * x + (z + 2) * x + 1) % 2 == 0
-        )
+    # two distinct roots, so p is odd: at p = 2 and z = 1, X^2 + X + 1 has none
     s = sqrt_mod_p((z * z + 4 * z) % p, p)
     half = pow(2, -1, p)
     r_plus = (-(z + 2) + s) * half % p
@@ -227,9 +224,16 @@ def _gamma_bar_roots(z: int, p: int, budget: int):
     field = make_field(p, m)
     if field.q > budget:
         raise BudgetExceeded(f"splitting field order {field.q} exceeds budget")
-    gbar = DensePoly(field, gamma_bar(z, p).coeffs)
-    roots = [x for x in field.codes() if gbar.eval_code(x) == 0]
-    if len(roots) != gbar.degree:
+    coeffs = gamma_bar(z, p).coeffs
+
+    def at(x: int) -> int:  # Horner in the field, on the F_p coefficients
+        acc = 0
+        for c in reversed(coeffs):
+            acc = field.add_code(field.mul_code(acc, x), c)
+        return acc
+
+    roots = [x for x in field.codes() if at(x) == 0]
+    if len(roots) != len(coeffs) - 1:
         raise AssertionError("polynomial did not split in the expected field")
     return field, roots
 

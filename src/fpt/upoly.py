@@ -1,24 +1,25 @@
-"""Univariate polynomial arithmetic over F_p and F_{p^m}, plus integer
-polynomials with arbitrary-precision coefficients.
+"""Univariate polynomial arithmetic over F_p, plus integer polynomials
+with arbitrary-precision coefficients.
 
 Polynomials are coefficient vectors, constant term first, trimmed so the
 leading coefficient is nonzero (the zero polynomial is the empty
-vector).  Coefficients are field codes (plain residues over a prime
-field).  Over prime fields, multiplication switches to numpy once the
-vectors are long enough to pay for the call overhead, and division once
-the divisor is; extension fields go through the table-backed code
-arithmetic of gf.  Powers modulo a fixed polynomial f of degree n go by
-square-and-multiply, except repeated p-th powers over F_p: h -> h^p is
-F_p-linear on F_p[X]/(f), so a reduction context builds the Frobenius
-matrix of f once and then takes each p-th power as one matrix-vector
-product.  All numpy arithmetic is int64, exact while a dot product of n
-residues stays below n*(p-1)^2 < 2^63, which holds for every n below
-2^23 since p <= 2^20.
+vector).  Coefficients are residues in [0, p): every polynomial the
+library factors or tests (the 0/1 family, gamma_z, the trinomials, the
+field moduli) lies over a prime field, so DensePoly refuses extension
+fields.  Multiplication switches to numpy once the vectors are long
+enough to pay for the call overhead, and division once the divisor is.
+Powers modulo a fixed polynomial f of degree n go by square-and-multiply,
+except repeated p-th powers: h -> h^p is F_p-linear on F_p[X]/(f), so a
+reduction context builds the Frobenius matrix of f once and then takes
+each p-th power as one matrix-vector product.  All numpy arithmetic is
+int64, exact while a dot product of n residues stays below
+n*(p-1)^2 < 2^63, which holds for every n below 2^23 since p <= 2^20.
 
 Factoring support covers exactly what the rest of the library needs:
 squarefree decomposition (with the p-th-root branch for vanishing
-derivatives), distinct-degree splitting, a Rabin irreducibility test,
-and seeded equal-degree splitting for pulling out a single factor.
+derivatives), distinct-degree splitting, Ben-Or's irreducibility test
+(the distinct-degree loop stopped at its first shared factor), and
+seeded equal-degree splitting for pulling out a single factor.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .errors import (
     FieldMismatch,
 )
 from .gf import FieldDesc, make_field
-from .numth import factorize
 
 _NP_MUL_THRESHOLD = 24
 # divisor length from which a numpy slice per quotient coefficient beats
@@ -44,7 +44,7 @@ _NP_MOD_THRESHOLD = 48
 
 
 # ---------------------------------------------------------------------------
-# raw helpers on (field, list-of-codes)
+# raw helpers on (field, list-of-residues)
 
 
 def _trim(cs: list[int]) -> list[int]:
@@ -56,41 +56,34 @@ def _trim(cs: list[int]) -> list[int]:
 def _raw_add(field: FieldDesc, a: list[int], b: list[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
+    p = field.p
     out = list(a)
     for i, y in enumerate(b):
-        out[i] = field.add_code(out[i], y)
+        out[i] = (out[i] + y) % p
     return _trim(out)
 
 
 def _raw_sub(field: FieldDesc, a: list[int], b: list[int]) -> list[int]:
+    p = field.p
     out = list(a) + [0] * (len(b) - len(a))
     for i, y in enumerate(b):
-        out[i] = field.sub_code(out[i], y)
+        out[i] = (out[i] - y) % p
     return _trim(out)
 
 
 def _raw_mul(field: FieldDesc, a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
-    if field.m == 1 and len(a) + len(b) >= _NP_MUL_THRESHOLD:
-        prod = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-        return _trim((prod % field.p).tolist())
+    p = field.p
+    if len(a) + len(b) >= _NP_MUL_THRESHOLD:
+        prod = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        return _trim((prod % p).tolist())
     out = [0] * (len(a) + len(b) - 1)
-    if field.m == 1:
-        p = field.p
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return _trim([v % p for v in out])
-    mul = field.mul_code
-    add = field.add_code
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                if y:
-                    out[i + j] = add(out[i + j], mul(x, y))
-    return _trim(out)
+                out[i + j] += x * y
+    return _trim([v % p for v in out])
 
 
 def _raw_divmod(
@@ -100,34 +93,21 @@ def _raw_divmod(
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
         return [], list(a)
+    p = field.p
     nb = len(b)
-    if field.m == 1 and nb >= _NP_MOD_THRESHOLD:
-        return _np_divmod(field.p, a, b)
+    if nb >= _NP_MOD_THRESHOLD:
+        return _np_divmod(p, a, b)
+    # rem is reduced mod p only where it is read
     rem = list(a)
     quot = [0] * (len(a) - nb + 1)
-    if field.m == 1:
-        # rem is reduced mod p only where it is read
-        p = field.p
-        inv_lead = pow(b[-1], -1, p)
-        for k in range(len(a) - nb, -1, -1):
-            c = rem[k + nb - 1] * inv_lead % p
-            if c:
-                quot[k] = c
-                for i in range(nb - 1):
-                    rem[k + i] -= c * b[i]
-        return _trim(quot), _trim([v % p for v in rem[: nb - 1]])
-    inv_lead = field.inv_code(b[-1])
-    mul = field.mul_code
-    sub = field.sub_code
+    inv_lead = pow(b[-1], -1, p)
     for k in range(len(a) - nb, -1, -1):
-        c = rem[k + nb - 1]
+        c = rem[k + nb - 1] * inv_lead % p
         if c:
-            c = mul(c, inv_lead)
             quot[k] = c
-            for i, y in enumerate(b):
-                if y:
-                    rem[k + i] = sub(rem[k + i], mul(c, y))
-    return _trim(quot), _trim(rem[: nb - 1])
+            for i in range(nb - 1):
+                rem[k + i] -= c * b[i]
+    return _trim(quot), _trim([v % p for v in rem[: nb - 1]])
 
 
 def _np_divmod(p: int, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -151,8 +131,9 @@ def _raw_gcd(field: FieldDesc, a: list[int], b: list[int]) -> list[int]:
     while b:
         a, b = b, _raw_divmod(field, a, b)[1]
     if a:
-        inv = field.inv_code(a[-1])
-        a = [field.mul_code(c, inv) for c in a]
+        p = field.p
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
     return a
 
 
@@ -162,28 +143,22 @@ def _raw_gcd(field: FieldDesc, a: list[int], b: list[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class DensePoly:
-    """Dense univariate polynomial over a FieldDesc, constant term first."""
+    """Dense univariate polynomial over a prime field, constant term
+    first; an extension-field descriptor raises FieldMismatch."""
 
     field: FieldDesc
     coeffs: tuple[int, ...]
 
-    @classmethod
-    def make(cls, field: FieldDesc, coeffs) -> "DensePoly":
-        """From a list of element codes (for prime fields: residues,
-        negative values allowed)."""
-        cs = [int(c) for c in coeffs]
-        if field.m == 1:
-            cs = [c % field.p for c in cs]
-        else:
-            for c in cs:
-                if not 0 <= c < field.q:
-                    raise ValueError(f"{c} is not an element code of {field}")
-        return cls(field, tuple(_trim(cs)))
+    def __post_init__(self) -> None:
+        if self.field.m != 1:
+            raise FieldMismatch(f"polynomials are over prime fields only, not {self.field}")
 
     @classmethod
-    def from_residues(cls, field: FieldDesc, coeffs) -> "DensePoly":
-        """Coefficients given as prime-subfield residues."""
-        return cls(field, tuple(_trim([c % field.p for c in coeffs])))
+    def make(cls, field: FieldDesc, coeffs) -> "DensePoly":
+        """From integer coefficients, reduced mod p (negative values
+        allowed)."""
+        p = field.p
+        return cls(field, tuple(_trim([int(c) % p for c in coeffs])))
 
     @classmethod
     def zero(cls, field: FieldDesc) -> "DensePoly":
@@ -240,51 +215,45 @@ class DensePoly:
     def monic(self) -> "DensePoly":
         if self.is_zero() or self.coeffs[-1] == 1:
             return self
-        inv = self.field.inv_code(self.coeffs[-1])
-        return DensePoly(
-            self.field, tuple(self.field.mul_code(c, inv) for c in self.coeffs)
-        )
+        p = self.field.p
+        inv = pow(self.coeffs[-1], -1, p)
+        return DensePoly(self.field, tuple(c * inv % p for c in self.coeffs))
 
     def derivative(self) -> "DensePoly":
-        f = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            k = i % f.p
-            out.append(f.mul_code(k, self.coeffs[i]) if k else 0)
-        return DensePoly(f, tuple(_trim(out)))
+        p = self.field.p
+        out = [i * c % p for i, c in enumerate(self.coeffs)][1:]
+        return DensePoly(self.field, tuple(_trim(out)))
 
     def eval_code(self, x: int) -> int:
-        f = self.field
+        p = self.field.p
         acc = 0
         for c in reversed(self.coeffs):
-            acc = f.add_code(f.mul_code(acc, x), c)
+            acc = (acc * x + c) % p
         return acc
 
     def shift_arg(self, c: int) -> "DensePoly":
         """The composition f(X + c) by Horner in the polynomial ring."""
         f = self.field
         out: list[int] = []
-        xc = [c % f.q, 1]
+        xc = [c % f.p, 1]
         for coef in reversed(self.coeffs):
             out = _raw_add(f, _raw_mul(f, out, xc), [coef])
         return DensePoly(f, tuple(out))
 
     def scale_arg(self, a: int) -> "DensePoly":
         """The composition f(a*X)."""
-        f = self.field
+        p = self.field.p
         out, power = [], 1
         for coef in self.coeffs:
-            out.append(f.mul_code(coef, power))
-            power = f.mul_code(power, a)
-        return DensePoly(f, tuple(_trim(out)))
+            out.append(coef * power % p)
+            power = power * a % p
+        return DensePoly(self.field, tuple(_trim(out)))
 
     def to_json(self):
-        if self.field.m == 1:
-            return list(self.coeffs)
-        return [self.field.to_coeffs(c) for c in self.coeffs]
+        return list(self.coeffs)
 
     def __repr__(self) -> str:
-        return f"DensePoly(p={self.field.p}, m={self.field.m}, coeffs={list(self.coeffs)})"
+        return f"DensePoly(p={self.field.p}, coeffs={list(self.coeffs)})"
 
 
 def poly_gcd(f: DensePoly, g: DensePoly) -> DensePoly:
@@ -297,68 +266,53 @@ def poly_gcd(f: DensePoly, g: DensePoly) -> DensePoly:
 
 class _ModCtx:
     """Reduction context for repeated multiplication modulo a fixed
-    nonconstant polynomial f of degree n.  Over prime fields the reduction
-    uses a precomputed numpy matrix of X^k mod f rows, and the second
-    p-th power taken in a context builds the Frobenius matrix Q (row i is
-    X^(i*p) mod f), after which h^p is the single product h @ Q mod p."""
+    nonconstant polynomial f of degree n over F_p.  Products go through
+    _raw_mul and are reduced with a precomputed numpy matrix of X^k mod f
+    rows; the second p-th power taken in a context builds the Frobenius
+    matrix Q (row i is X^(i*p) mod f), after which h^p is the single
+    product h @ Q mod p."""
 
     def __init__(self, field: FieldDesc, mod: list[int]):
         if len(mod) < 2:
             raise ConstantModulus("modulus must be nonconstant")
         self.field = field
+        self.p = p = field.p
         self.mod = list(mod)
-        self.n = len(mod) - 1
-        self.np_ok = field.m == 1 and self.n >= 2
+        self.n = n = len(mod) - 1
         self.frob: np.ndarray | None = None
         self.p_powers = 0
-        if self.np_ok:
-            p = field.p
-            n = self.n
-            inv_lead = pow(mod[-1], -1, p)
-            monic = [c * inv_lead % p for c in mod]
-            rows = np.zeros((n - 1, n), dtype=np.int64)
-            # rows[i] = X^(n+i) mod monic
-            cur = [(-monic[i]) % p for i in range(n)]  # X^n mod f
-            rows_list = [cur]
-            for _ in range(n - 2):
-                nxt = [0] + cur[:-1]
-                lead = cur[-1]
-                if lead:
-                    for i in range(n):
-                        nxt[i] = (nxt[i] - lead * monic[i]) % p
-                cur = nxt[:n]
-                rows_list.append(cur)
-            for i, row in enumerate(rows_list):
-                rows[i] = row
-            self.rows = rows
-            self.p = p
+        inv_lead = pow(mod[-1], -1, p)
+        self.x_n = np.array([-c * inv_lead % p for c in mod[:n]], dtype=np.int64)  # X^n mod f
+        # rows[i] = X^(n+i) mod f, enough to reduce a product of two residues
+        self.rows = self._x_multiples(self.x_n, n - 1)
+
+    def _x_multiples(self, first: np.ndarray, count: int) -> np.ndarray:
+        # rows X^j * first mod f for j < count, one multiply-by-X step each
+        out = np.zeros((count, self.n), dtype=np.int64)
+        if count:
+            out[0] = first
+        for j in range(1, count):
+            out[j, 1:] = out[j - 1, :-1]
+            out[j] = (out[j] + out[j - 1, -1] * self.x_n) % self.p
+        return out
 
     def reduce(self, cs: list[int]) -> list[int]:
         if len(cs) <= self.n:
             return list(cs)
-        if self.np_ok and len(cs) <= 2 * self.n - 1:
+        if len(cs) <= 2 * self.n - 1:
             arr = np.asarray(cs, dtype=np.int64)
-            high = arr[self.n :]
-            low = arr[: self.n].copy()
-            low += high @ self.rows[: len(high)]
+            low = arr[: self.n] + arr[self.n :] @ self.rows[: len(cs) - self.n]
             return _trim((low % self.p).tolist())
         return _raw_divmod(self.field, list(cs), self.mod)[1]
 
     def mulmod(self, a: list[int], b: list[int]) -> list[int]:
-        if self.np_ok:
-            if not a or not b:
-                return []
-            prod = np.convolve(
-                np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-            ) % self.p
-            return self.reduce(prod.tolist())
         return self.reduce(_raw_mul(self.field, a, b))
 
     def powmod(self, a: list[int], e: int) -> list[int]:
         if e < 0:
             raise ValueError("negative exponent in powmod")
         base = self.reduce(list(a))
-        if self.np_ok and e == self.p:
+        if e == self.p:
             # a one-off p-th power is cheaper by squaring than Q's n products
             self.p_powers += 1
             if self.p_powers == 2:
@@ -384,14 +338,10 @@ class _ModCtx:
         # shift[j] = X^(p+j) mod f is multiplication by X^p, so row i of Q
         # is row i-1 times shift; shift is dropped once Q is built
         n, p = self.n, self.p
-        x_n = self.rows[0]  # X^n mod f
-        row = np.zeros(n, dtype=np.int64)
-        xp = self._square_multiply([0, 1], p)
-        row[: len(xp)] = xp
-        shift = np.empty((n, n), dtype=np.int64)
-        for j in range(n):
-            shift[j] = row
-            row = (np.concatenate(([0], row[:-1])) + row[-1] * x_n) % p
+        xp = np.zeros(n, dtype=np.int64)
+        xp_cs = self._square_multiply([0, 1], p)
+        xp[: len(xp_cs)] = xp_cs
+        shift = self._x_multiples(xp, n)
         frob = np.zeros((n, n), dtype=np.int64)
         frob[0, 0] = 1
         for i in range(1, n):
@@ -415,16 +365,12 @@ def poly_powmod(f: DensePoly, e: int, mod: DensePoly) -> DensePoly:
 
 
 def _pth_root(field: FieldDesc, cs: list[int]) -> list[int]:
-    # f = g(X^p)  ->  g, taking p-th roots of the surviving coefficients
+    # f = g(X^p)  ->  g; over F_p every coefficient is its own p-th root
     p = field.p
-    root_exp = p ** (field.m - 1)
-    out = []
-    for i in range(0, len(cs), p):
-        out.append(field.pow_code(cs[i], root_exp))
     for i, c in enumerate(cs):
         if i % p and c:
             raise AssertionError("polynomial with zero derivative not in F[X^p]")
-    return _trim(out)
+    return cs[::p]
 
 
 def squarefree_decomposition(f: DensePoly) -> list[tuple[DensePoly, int]]:
@@ -482,28 +428,29 @@ class DegreeMultiset:
         return f"DegreeMultiset({self.as_dict()})"
 
 
-def _ddf_squarefree(g: DensePoly) -> list[tuple[int, DensePoly]]:
-    """Distinct-degree split of a monic squarefree polynomial: list of
-    (d, product of all irreducible factors of degree d)."""
+def _ddf_squarefree(g: DensePoly):
+    """Distinct-degree split of a monic squarefree polynomial, lazily:
+    yields (d, product of all irreducible factors of degree d) for each d
+    in increasing order, one p-th power per step.  The first pair is
+    right for any monic nonconstant g, squarefree or not: d is the least
+    degree of an irreducible factor of g, and d = deg g only when g is
+    irreducible."""
     field = g.field
-    q = field.q
+    p = field.p
     ctx = _ModCtx(field, list(g.coeffs))
-    parts: list[tuple[int, DensePoly]] = []
     remaining = list(g.coeffs)
-    h = ctx.reduce([0, 1])  # X
+    h = [0, 1]  # X
     d = 0
-    while len(remaining) - 1 >= 1:
+    while len(remaining) > 1:
         d += 1
         if 2 * d > len(remaining) - 1:
-            parts.append((len(remaining) - 1, DensePoly(field, tuple(remaining))))
-            break
-        h = ctx.powmod(h, q)
-        hx = _raw_sub(field, h, [0, 1])
-        w = _raw_gcd(field, hx, remaining)
+            yield len(remaining) - 1, DensePoly(field, tuple(remaining))
+            return
+        h = ctx.powmod(h, p)
+        w = _raw_gcd(field, _raw_sub(field, h, [0, 1]), remaining)
         if len(w) > 1:
-            parts.append((d, DensePoly(field, tuple(w))))
+            yield d, DensePoly(field, tuple(w))
             remaining = _raw_divmod(field, remaining, w)[0]
-    return parts
 
 
 def distinct_degree_factor(f: DensePoly) -> DegreeMultiset:
@@ -523,39 +470,28 @@ def distinct_degree_factor(f: DensePoly) -> DegreeMultiset:
 
 
 def is_irreducible(f: DensePoly) -> bool:
-    """Rabin irreducibility criterion over the coefficient field: f of
-    degree n is irreducible iff X^(q^n) = X mod f and X^(q^(n/r)) - X is
-    coprime to f for every prime r dividing n.  Each gcd runs as soon as
-    the chain X^q, X^(q^2), ... reaches its power, so most reducible f
-    are rejected before the chain reaches X^(q^n)."""
+    """Ben-Or's irreducibility test: f of degree n is irreducible iff
+    X^(p^d) - X is coprime to f for every d <= n/2.  This is the
+    distinct-degree loop stopped at its first shared factor, so a
+    reducible f is rejected after as many p-th powers as the degree of its
+    smallest irreducible factor."""
     if f.is_constant():
         raise ConstantInput("constants are neither irreducible nor reducible here")
-    n = f.degree
-    if n == 1:
-        return True
-    field = f.field
-    monic = list(f.monic().coeffs)
-    ctx = _ModCtx(field, monic)
-    gcd_at = {n // r for r in factorize(n)}
-    h = [0, 1]
-    for k in range(1, n + 1):
-        h = ctx.powmod(h, field.q)
-        if k in gcd_at and len(_raw_gcd(field, monic, _raw_sub(field, h, [0, 1]))) != 1:
-            return False
-    return not _raw_sub(field, h, [0, 1])
+    return next(_ddf_squarefree(f.monic()))[0] == f.degree
 
 
 def equal_degree_split(f: DensePoly, d: int, seed: int = 0) -> list[DensePoly]:
     """Split a monic squarefree product of degree-d irreducibles into its
-    irreducible factors (Cantor-Zassenhaus, odd q only).  Deterministic
+    irreducible factors (Cantor-Zassenhaus, odd p only).  Deterministic
     for a fixed seed."""
     field = f.field
-    if field.q % 2 == 0:
-        raise NotImplementedError("equal-degree splitting is implemented for odd q")
+    p = field.p
+    if p == 2:
+        raise NotImplementedError("equal-degree splitting is implemented for odd p")
     rng = random.Random(seed)
     out: list[DensePoly] = []
     stack = [f.monic()]
-    e = (field.q**d - 1) // 2
+    e = (p**d - 1) // 2
     while stack:
         g = stack.pop()
         if g.degree == d:
@@ -563,7 +499,7 @@ def equal_degree_split(f: DensePoly, d: int, seed: int = 0) -> list[DensePoly]:
             continue
         ctx = _ModCtx(field, list(g.coeffs))
         while True:
-            r = [rng.randrange(field.q) for _ in range(g.degree)]
+            r = [rng.randrange(p) for _ in range(g.degree)]
             r = _trim(r)
             if len(r) < 1:
                 continue
@@ -576,7 +512,6 @@ def equal_degree_split(f: DensePoly, d: int, seed: int = 0) -> list[DensePoly]:
                 break
     out.sort(key=lambda t: t.coeffs)
     return out
-
 
 
 # ---------------------------------------------------------------------------
@@ -646,4 +581,4 @@ def int_poly_eval(f: IntPoly, x: int) -> int:
 def int_poly_mod_p(f: IntPoly, p: int) -> DensePoly:
     """Reduce the coefficients into F_p."""
     field = make_field(p, 1)
-    return DensePoly.from_residues(field, list(f.coeffs))
+    return DensePoly.make(field, f.coeffs)

@@ -123,6 +123,9 @@ def test_linear_roots_branches():
     q = quadratic_factor(5, 19)
     assert all(q.eval_code(r) == 0 for r in roots)
     assert linear_roots(4, 19) == frozenset()
+    # p = 2: -4 = 0, and at z = 1 the quadratic X^2 + X + 1 has no root
+    assert linear_roots(0, 2) == frozenset({1})
+    assert linear_roots(1, 2) == linear_roots(3, 2) == frozenset()
 
 
 def test_classify_cases():

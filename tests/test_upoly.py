@@ -5,7 +5,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpt import upoly
@@ -131,10 +131,11 @@ def _square_multiply(ctx, h, e):
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.sampled_from((2, 3, 5, 31, 251, 1048573)).flatmap(lambda p: st.tuples(
     st.just(p),
-    st.integers(2, 80).flatmap(lambda n: st.lists(st.integers(0, p - 1), min_size=n, max_size=n)),
+    st.integers(1, 80).flatmap(lambda n: st.lists(st.integers(0, p - 1), min_size=n, max_size=n)),
     st.integers(1, p - 1) | st.just(1),
     st.lists(st.lists(st.integers(0, p - 1), max_size=200), min_size=2, max_size=4),
 )))
+@example((5, [3], 2, [[1, 2, 3], [4]]))  # a linear modulus: Q is 1 x 1
 def test_frobenius_matrix_matches_square_and_multiply(case):
     p, low, lead, hs = case
     ctx = upoly._ModCtx(make_field(p, 1), low + [lead])
@@ -267,20 +268,36 @@ def test_is_irreducible_examples():
     for p in (3, 5, 7):
         F = make_field(p, 1)
         assert not is_irreducible(DensePoly.make(F, [-1, 0, 1]))  # X^2-1
+    # not squarefree: g^2, and g*h with deg g = deg h = n/2
+    for p in (2, 3, 5):
+        F = make_field(p, 1)
+        g = DensePoly.make(F, make_field(p, 3).modulus)
+        h = DensePoly.make(F, g.coeffs[::-1]).monic()  # reciprocal of g
+        assert g != h and is_irreducible(h)
+        assert not is_irreducible(g * g)
+        assert not is_irreducible(g * h)
     with pytest.raises(ConstantInput):
         is_irreducible(DensePoly.one(F3))
 
 
-def test_ddf_over_extension_field():
-    # over F_4, X^4 - X splits into linears; an irreducible quadratic over
-    # F_4 exists inside X^16 - X
+def test_is_irreducible_stops_at_the_first_shared_factor(monkeypatch):
+    # a root already shows in gcd(X^p - X, f), so one p-th power decides
+    steps = []
+    powmod = upoly._ModCtx.powmod
+    monkeypatch.setattr(upoly._ModCtx, "powmod", lambda self, a, e: steps.append(e) or powmod(self, a, e))
+    rng = random.Random(31)
+    F = make_field(31, 1)
+    f = DensePoly.make(F, [-5, 1]) * DensePoly.make(F, [rng.randrange(31) for _ in range(29)] + [1])
+    assert not is_irreducible(f)
+    assert steps == [31]
+
+
+def test_densepoly_refuses_extension_fields():
     F4 = make_field(2, 2)
-    f = DensePoly.make(F4, [0, 1, 0, 0, 1])  # X^4 + X over F_4
-    assert distinct_degree_factor(f) == DegreeMultiset.from_dict({1: 4})
-    # X^2 + X + g where g generates F_4: irreducible over F_4
-    g = DensePoly(F4, (2, 1, 1))
-    assert is_irreducible(g)
-    assert distinct_degree_factor(g) == DegreeMultiset.from_dict({2: 1})
+    with pytest.raises(FieldMismatch):
+        DensePoly(F4, (2, 1, 1))
+    with pytest.raises(FieldMismatch):
+        DensePoly.make(F4, [0, 1, 0, 0, 1])
 
 
 def test_equal_degree_split():
