@@ -71,7 +71,12 @@ def _default_budget() -> int:
     return int(env) if env else gf.DEFAULT_BUDGET
 
 
-def _field(args) -> gf.FieldDesc:
+def _field(args, min_m: int = 1) -> gf.FieldDesc:
+    """F_{p^m} for a command that sweeps it, refused on budget before the
+    modulus search and the tables are paid for.  Below min_m the command
+    rejects the degree itself, ahead of the budget, on the built field."""
+    if args.m >= min_m:
+        gf.check_budget(args.p**args.m, args.budget)
     return gf.make_field(args.p, args.m)
 
 
@@ -123,7 +128,7 @@ def _cmd_planes_count(args):
 
 
 def _cmd_planes_zvalues(args):
-    field = _field(args)
+    field = _field(args, min_m=2)
     z, z_circ = planes.z_values(field, full_sweep=args.full_sweep, budget=args.budget)
     return {
         "p": args.p,
@@ -249,7 +254,7 @@ def _cmd_mv_apparition(args):
 
 
 def _cmd_verify_appendix(args):
-    rep = dickson.verify_appendix_recursion(args.m, _field(args), budget=args.budget)
+    rep = dickson.verify_appendix_recursion(args.m, _field(args, min_m=3), budget=args.budget)
     return rep.to_json()
 
 
@@ -417,6 +422,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.budget is None:
         args.budget = _default_budget()
     try:
+        if "p" in args:  # every --p names a characteristic
+            gf.require_prime(args.p)
         out = args.func(args)
     except BudgetExceeded as exc:
         print(f"budget refused: {exc}", file=sys.stderr)

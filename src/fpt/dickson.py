@@ -14,13 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    BudgetExceeded,
     DependentPair,
     FieldMismatch,
     Fp2OrbitDenominator,
 )
 from .fmp import theta
-from .gf import DEFAULT_BUDGET, FieldDesc, FieldElem
+from .gf import DEFAULT_BUDGET, FieldDesc, FieldElem, check_budget
 
 
 def _common_field(x: FieldElem, y: FieldElem) -> FieldDesc:
@@ -181,8 +180,7 @@ def verify_appendix_recursion(
     """
     if m < 3:
         raise ValueError("the recursion starts at index 3")
-    if field.q > budget:
-        raise BudgetExceeded(f"field order {field.q} exceeds budget {budget}")
+    check_budget(field.q, budget)
     p = field.p
     t = theta(m - 3, p)
     need_quadratic_exclusion = m >= 4

@@ -365,6 +365,19 @@ class FieldElem:
 # -- module-level operations ----------------------------------------------
 
 
+def require_prime(p: int) -> None:
+    """Refuse a characteristic fpt does not work in: anything but a prime
+    in [2, 2^20]."""
+    if not 2 <= p <= P_LIMIT or not is_prime(p):
+        raise CompositeModulusBase(f"{p} is not a prime in [2, 2^20]")
+
+
+def check_budget(q: int, budget: int) -> None:
+    """Refuse a sweep over a field of order q above the element budget."""
+    if q > budget:
+        raise BudgetExceeded(f"field order {q} exceeds budget {budget}")
+
+
 @functools.cache
 def make_field(p: int, m: int) -> FieldDesc:
     """Build (and cache) the deterministic descriptor of F_{p^m}.
@@ -374,8 +387,7 @@ def make_field(p: int, m: int) -> FieldDesc:
     """
     if m < 1:
         raise DegreeZero(f"extension degree {m} < 1")
-    if not 2 <= p <= P_LIMIT or not is_prime(p):
-        raise CompositeModulusBase(f"{p} is not a prime in [2, 2^20]")
+    require_prime(p)
     if m == 1:
         return FieldDesc(p, 1, (0, 1))
     from .upoly import DensePoly, is_irreducible  # upoly imports this module
@@ -403,8 +415,7 @@ def mult_order(x: FieldElem) -> int:
 def enumerate_elements(field: FieldDesc, budget: int = DEFAULT_BUDGET):
     """Every element of the field exactly once, in ascending
     coefficient-code order; the budget is checked before any iteration."""
-    if field.q > budget:
-        raise BudgetExceeded(f"field order {field.q} exceeds budget {budget}")
+    check_budget(field.q, budget)
     return (FieldElem(field, code) for code in field.codes())
 
 

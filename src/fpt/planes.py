@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 from .dickson import nu_code, nu_point_code
 from .errors import (
-    BudgetExceeded,
     CoefficientNotInPrimeField,
     DegreeTooSmall,
     DependentPair,
     WrongField,
 )
 from .fmp import degree_formula, eval_fp
-from .gf import DEFAULT_BUDGET, FieldDesc, frobenius_orbit_minpoly, make_field
+from .gf import DEFAULT_BUDGET, FieldDesc, check_budget, frobenius_orbit_minpoly, make_field
 from .upoly import DensePoly
 
 
@@ -101,8 +100,7 @@ def enumerate_planes(field: FieldDesc, budget: int = DEFAULT_BUDGET) -> list[Pla
     p, m = field.p, field.m
     if m < 2:
         raise DegreeTooSmall("planes need extension degree at least 2")
-    if field.q > budget:
-        raise BudgetExceeded(f"field order {field.q} exceeds budget {budget}")
+    check_budget(field.q, budget)
     out = []
     for j1 in range(m - 1):
         for j2 in range(j1 + 1, m):
@@ -215,8 +213,7 @@ def z_values(
     """
     if field.m < 2:
         raise DegreeTooSmall("plane invariants need extension degree at least 2")
-    if field.q > budget:
-        raise BudgetExceeded(f"field order {field.q} exceeds budget {budget}")
+    check_budget(field.q, budget)
     if full_sweep:
         vals = {pl.nu_value() for pl in enumerate_planes(field, budget)}
     else:
@@ -256,8 +253,7 @@ def pencil(z: int, field: FieldDesc, budget: int = DEFAULT_BUDGET) -> Pencil:
     p, m = field.p, field.m
     if not 0 <= z < p:
         raise WrongField(f"{z} is not a residue mod {p}")
-    if field.q > budget:
-        raise BudgetExceeded(f"field order {field.q} exceeds budget {budget}")
+    check_budget(field.q, budget)
     if z == 0:
         if m % 2 != 0:
             raise WrongField("value 0 needs the quadratic subfield, so an even degree")

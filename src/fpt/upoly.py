@@ -9,11 +9,16 @@ field moduli) lies over a prime field, so DensePoly refuses extension
 fields.  Multiplication switches to numpy once the vectors are long
 enough to pay for the call overhead, and division once the divisor is.
 Powers modulo a fixed polynomial f of degree n go by square-and-multiply,
-except repeated p-th powers: h -> h^p is F_p-linear on F_p[X]/(f), so a
-reduction context builds the Frobenius matrix of f once and then takes
-each p-th power as one matrix-vector product.  All numpy arithmetic is
-int64, exact while a dot product of n residues stays below
-n*(p-1)^2 < 2^63, which holds for every n below 2^23 since p <= 2^20.
+except repeated p-th powers once products mod f reach numpy: h -> h^p is
+F_p-linear on F_p[X]/(f), so a reduction context builds the Frobenius
+matrix of f once and then takes each p-th power as one matrix-vector
+product.  All numpy arithmetic is int64, exact while a dot product of n
+residues stays below n*(p-1)^2 < 2^63, which holds for every n below
+2^23 since p <= 2^20.
+
+numpy is imported only when one of these large-polynomial routes is
+first entered, so the integer work of the rest of the library, and small
+moduli such as those of the field-modulus search, never load it.
 
 Factoring support covers exactly what the rest of the library needs:
 squarefree decomposition (with the p-th-root branch for vanishing
@@ -27,8 +32,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     ConstantInput,
     ConstantModulus,
@@ -41,6 +44,16 @@ _NP_MUL_THRESHOLD = 24
 # the pure-Python loop; the two tie at 40-48 coefficients over F_31,
 # F_251 and F_1048573 whatever the quotient length
 _NP_MOD_THRESHOLD = 48
+
+np = None  # numpy, bound on first entry to a numpy route
+
+
+def _load_numpy() -> None:
+    global np
+    if np is None:
+        import numpy
+
+        np = numpy
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +89,8 @@ def _raw_mul(field: FieldDesc, a: list[int], b: list[int]) -> list[int]:
         return []
     p = field.p
     if len(a) + len(b) >= _NP_MUL_THRESHOLD:
+        if np is None:
+            _load_numpy()
         prod = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
         return _trim((prod % p).tolist())
     out = [0] * (len(a) + len(b) - 1)
@@ -111,6 +126,7 @@ def _raw_divmod(
 
 
 def _np_divmod(p: int, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    _load_numpy()
     rem = np.array(a, dtype=np.int64)
     bv = np.array(b, dtype=np.int64)
     nb = len(b)
@@ -266,11 +282,14 @@ def poly_gcd(f: DensePoly, g: DensePoly) -> DensePoly:
 
 class _ModCtx:
     """Reduction context for repeated multiplication modulo a fixed
-    nonconstant polynomial f of degree n over F_p.  Products go through
-    _raw_mul and are reduced with a precomputed numpy matrix of X^k mod f
-    rows; the second p-th power taken in a context builds the Frobenius
-    matrix Q (row i is X^(i*p) mod f), after which h^p is the single
-    product h @ Q mod p."""
+    nonconstant polynomial f of degree n over F_p.  While a product of two
+    residues stays below _NP_MUL_THRESHOLD coefficients (n <= 11 at 24)
+    the context is pure Python: it reduces with _raw_divmod and takes
+    every power by square-and-multiply.  From there on products go to
+    numpy and are reduced with a precomputed matrix of X^k mod f rows, and
+    the second p-th power taken in a context builds the Frobenius matrix Q
+    (row i is X^(i*p) mod f), after which h^p is the single product
+    h @ Q mod p."""
 
     def __init__(self, field: FieldDesc, mod: list[int]):
         if len(mod) < 2:
@@ -279,12 +298,14 @@ class _ModCtx:
         self.p = p = field.p
         self.mod = list(mod)
         self.n = n = len(mod) - 1
-        self.frob: np.ndarray | None = None
+        self.rows = self.frob = None
         self.p_powers = 0
-        inv_lead = pow(mod[-1], -1, p)
-        self.x_n = np.array([-c * inv_lead % p for c in mod[:n]], dtype=np.int64)  # X^n mod f
-        # rows[i] = X^(n+i) mod f, enough to reduce a product of two residues
-        self.rows = self._x_multiples(self.x_n, n - 1)
+        if 2 * n >= _NP_MUL_THRESHOLD:
+            _load_numpy()
+            inv_lead = pow(mod[-1], -1, p)
+            self.x_n = np.array([-c * inv_lead % p for c in mod[:n]], dtype=np.int64)  # X^n mod f
+            # rows[i] = X^(n+i) mod f, enough to reduce a product of two residues
+            self.rows = self._x_multiples(self.x_n, n - 1)
 
     def _x_multiples(self, first: np.ndarray, count: int) -> np.ndarray:
         # rows X^j * first mod f for j < count, one multiply-by-X step each
@@ -299,7 +320,7 @@ class _ModCtx:
     def reduce(self, cs: list[int]) -> list[int]:
         if len(cs) <= self.n:
             return list(cs)
-        if len(cs) <= 2 * self.n - 1:
+        if self.rows is not None and len(cs) <= 2 * self.n - 1:
             arr = np.asarray(cs, dtype=np.int64)
             low = arr[: self.n] + arr[self.n :] @ self.rows[: len(cs) - self.n]
             return _trim((low % self.p).tolist())
@@ -312,7 +333,7 @@ class _ModCtx:
         if e < 0:
             raise ValueError("negative exponent in powmod")
         base = self.reduce(list(a))
-        if e == self.p:
+        if e == self.p and self.rows is not None:
             # a one-off p-th power is cheaper by squaring than Q's n products
             self.p_powers += 1
             if self.p_powers == 2:

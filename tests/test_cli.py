@@ -1,7 +1,17 @@
 """CLI surface: report shapes, determinism, exit codes."""
 
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
+import pytest
+
+import fpt
+from fpt import cli, gf
 from fpt.cli import main
 
 
@@ -177,3 +187,69 @@ def test_trinomial_frob2(capsys):
 def test_alpha_classical_cli(capsys):
     code, out, _ = run_cli(capsys, "alpha", "classical", "--n", "11")
     assert code == 0 and json.loads(out)["alpha"] == 10
+
+
+@pytest.mark.parametrize("argv", [
+    ("alpha", "table", "--p", "15"),
+    ("alpha", "table", "--p", "1"),
+    ("alpha", "density", "--limit", "1"),
+    ("fmp", "eval", "--p", "4", "--m", "5", "--z", "1"),
+    ("mv", "apparition", "--p", "9", "--z", "2"),
+])
+def test_invalid_parameter_exits_1_with_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def _field_built_first(args, min_m=1):
+    return gf.make_field(args.p, args.m)
+
+
+@pytest.mark.parametrize("command", [
+    ("planes", "zvalues"),
+    ("planes", "pencil", "--z", "1"),
+    ("verify", "appendix"),
+])
+def test_budget_refused_before_the_field_is_built(capsys, command):
+    # same exit code and stderr as building the field and letting the
+    # command refuse, but a refusal never calls make_field
+    built, make_field = [], gf.make_field
+
+    def spy(p, m):
+        built.append((p, m))
+        return make_field(p, m)
+
+    codes = set()
+    for p, m, budget in itertools.product((1, 2, 3, 4, 5), (0, 1, 2, 3, 4), (2, 30, 100, 10**4)):
+        argv = ("--budget", str(budget), *command[:2], "--p", str(p), "--m", str(m), *command[2:])
+        with mock.patch.object(cli, "_field", _field_built_first):
+            expected = run_cli(capsys, *argv)
+        built.clear()
+        with mock.patch.object(gf, "make_field", spy):
+            got = run_cli(capsys, *argv)
+        assert got == expected, argv
+        assert got[0] != 2 or built == [], argv
+        codes.add(got[0])
+    assert codes == {0, 1, 2}
+
+
+def test_cheap_commands_never_import_numpy():
+    # numpy is loaded on first entry to one of upoly's large-polynomial routes
+    script = """if True:
+        import contextlib, io, sys
+        import fpt, fpt.cli
+        assert "numpy" not in sys.modules
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert fpt.cli.main(list(argv)) == 0
+            return "numpy" in sys.modules
+        assert not run("zigzag", "zeck", "64")
+        assert not run("alpha", "table", "--p", "19")
+        assert not run("planes", "count", "--p", "3", "--m", "4")
+        assert run("trinomial", "verify", "--p", "19", "--a", "1", "--b", "4")
+    """
+    src = str(Path(fpt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -135,14 +135,50 @@ def _square_multiply(ctx, h, e):
     st.integers(1, p - 1) | st.just(1),
     st.lists(st.lists(st.integers(0, p - 1), max_size=200), min_size=2, max_size=4),
 )))
-@example((5, [3], 2, [[1, 2, 3], [4]]))  # a linear modulus: Q is 1 x 1
+@example((5, [3] + [0] * 10, 2, [[1, 2, 3], [4]]))  # n = 11: pure Python, no Q
+@example((5, [3] + [0] * 11, 2, [[1, 2, 3], [4]]))  # n = 12: the smallest Q
 def test_frobenius_matrix_matches_square_and_multiply(case):
     p, low, lead, hs = case
     ctx = upoly._ModCtx(make_field(p, 1), low + [lead])
+    pure_python = 2 * ctx.n < upoly._NP_MUL_THRESHOLD
     for i, h in enumerate(map(upoly._trim, hs)):
         assert ctx.powmod(h, p) == _square_multiply(ctx, h, p)
-        assert (ctx.frob is None) == (i == 0)
+        assert (ctx.frob is None) == (i == 0 or pure_python)
     assert ctx.powmod([0, 1], 2 * p) == _square_multiply(ctx, [0, 1], 2 * p)
+
+
+def _ctx_answers(ctx, hs, exponents):
+    residues = [ctx.reduce(h) for h in hs]
+    return (
+        residues,
+        [ctx.mulmod(a, b) for a in residues for b in residues],
+        [ctx.powmod(h, e) for h in hs for e in exponents],
+    )
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from((2, 3, 5, 31, 251, 1048573)).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.integers(1, 11).flatmap(lambda n: st.lists(st.integers(0, p - 1), min_size=n, max_size=n)),
+    st.integers(1, p - 1),
+    st.lists(st.lists(st.integers(0, p - 1), max_size=30), min_size=2, max_size=4),
+    st.integers(0, 10**6),
+)))
+@example((5, [3], 2, [[1, 2, 3], [4]], 7))  # a linear modulus
+def test_small_context_matches_the_numpy_route(case):
+    # below the product threshold a context is pure Python; patching the
+    # threshold to 0 puts the same modulus on the numpy rows and Q
+    p, low, lead, hs, e = case
+    field, mod = make_field(p, 1), low + [lead]
+    hs = [upoly._trim(h) for h in hs]
+    exponents = (p, 2 * p, e)
+    small = upoly._ModCtx(field, mod)
+    expected = _ctx_answers(small, hs, exponents)
+    assert small.rows is None and small.frob is None
+    with mock.patch.object(upoly, "_NP_MUL_THRESHOLD", 0):
+        numpy_route = upoly._ModCtx(field, mod)
+        assert _ctx_answers(numpy_route, hs, exponents) == expected
+    assert numpy_route.frob is not None
 
 
 @settings(max_examples=60, deadline=None, database=None)
