@@ -251,8 +251,6 @@ def shanks_taylor_density(prime_limit: int) -> DensityReport:
     if prime_limit > 10**6:
         raise ValueError("scan limit capped at 1e6")
     ps = primes_upto(prime_limit)
-    if not ps:
-        raise ValueError(f"no primes up to {prime_limit}")
     count_pm1 = count_pp1 = 0
     pp1 = []
     for p in ps:

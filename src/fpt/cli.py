@@ -71,12 +71,17 @@ def _default_budget() -> int:
     return int(env) if env else gf.DEFAULT_BUDGET
 
 
-def _field(args, min_m: int = 1) -> gf.FieldDesc:
-    """F_{p^m} for a command that sweeps it, refused on budget before the
-    modulus search and the tables are paid for.  Below min_m the command
-    rejects the degree itself, ahead of the budget, on the built field."""
-    if args.m >= min_m:
-        gf.check_budget(args.p**args.m, args.budget)
+def _field(args, refuse=None) -> gf.FieldDesc:
+    """F_{p^m} for a command that sweeps it, built only after the checks
+    make_field and the command would make on it: refuse(m, q, budget) is
+    the command's own (the budget alone when None), so a refusal never
+    pays for the modulus search and the tables."""
+    gf.check_field(args.p, args.m)
+    q = args.p**args.m
+    if refuse is None:
+        gf.check_budget(q, args.budget)
+    else:
+        refuse(args.m, q, args.budget)
     return gf.make_field(args.p, args.m)
 
 
@@ -128,7 +133,7 @@ def _cmd_planes_count(args):
 
 
 def _cmd_planes_zvalues(args):
-    field = _field(args, min_m=2)
+    field = _field(args, planes.refuse_sweep)
     z, z_circ = planes.z_values(field, full_sweep=args.full_sweep, budget=args.budget)
     return {
         "p": args.p,
@@ -254,7 +259,7 @@ def _cmd_mv_apparition(args):
 
 
 def _cmd_verify_appendix(args):
-    rep = dickson.verify_appendix_recursion(args.m, _field(args, min_m=3), budget=args.budget)
+    rep = dickson.verify_appendix_recursion(args.m, _field(args, dickson.refuse_appendix), budget=args.budget)
     return rep.to_json()
 
 
@@ -422,8 +427,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.budget is None:
         args.budget = _default_budget()
     try:
-        if "p" in args:  # every --p names a characteristic
-            gf.require_prime(args.p)
         out = args.func(args)
     except BudgetExceeded as exc:
         print(f"budget refused: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ class BudgetExceeded(FptError):
 # -- field construction and arithmetic ------------------------------------
 
 class CompositeModulusBase(FptError):
-    """A characteristic that is not a prime in [2, 2^20]."""
+    """The characteristic passed to make_field is not prime."""
 
 
 class DegreeZero(FptError):

@@ -365,9 +365,11 @@ class FieldElem:
 # -- module-level operations ----------------------------------------------
 
 
-def require_prime(p: int) -> None:
-    """Refuse a characteristic fpt does not work in: anything but a prime
-    in [2, 2^20]."""
+def check_field(p: int, m: int) -> None:
+    """Refuse what make_field refuses, before any work: a degree below 1,
+    then a characteristic that is not a prime in [2, 2^20]."""
+    if m < 1:
+        raise DegreeZero(f"extension degree {m} < 1")
     if not 2 <= p <= P_LIMIT or not is_prime(p):
         raise CompositeModulusBase(f"{p} is not a prime in [2, 2^20]")
 
@@ -385,9 +387,7 @@ def make_field(p: int, m: int) -> FieldDesc:
     The modulus is the first monic irreducible of degree m in ascending
     integer-encoding order; repeated calls return the identical object.
     """
-    if m < 1:
-        raise DegreeZero(f"extension degree {m} < 1")
-    require_prime(p)
+    check_field(p, m)
     if m == 1:
         return FieldDesc(p, 1, (0, 1))
     from .upoly import DensePoly, is_irreducible  # upoly imports this module

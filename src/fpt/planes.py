@@ -21,7 +21,14 @@ from .errors import (
     WrongField,
 )
 from .fmp import degree_formula, eval_fp
-from .gf import DEFAULT_BUDGET, FieldDesc, check_budget, frobenius_orbit_minpoly, make_field
+from .gf import (
+    DEFAULT_BUDGET,
+    FieldDesc,
+    check_budget,
+    check_field,
+    frobenius_orbit_minpoly,
+    make_field,
+)
 from .upoly import DensePoly
 
 
@@ -98,9 +105,7 @@ def enumerate_planes(field: FieldDesc, budget: int = DEFAULT_BUDGET) -> list[Pla
     """All planes, one canonical representative each, by direct echelon
     enumeration over pivot-column pairs."""
     p, m = field.p, field.m
-    if m < 2:
-        raise DegreeTooSmall("planes need extension degree at least 2")
-    check_budget(field.q, budget)
+    refuse_sweep(m, field.q, budget, "planes")
     out = []
     for j1 in range(m - 1):
         for j2 in range(j1 + 1, m):
@@ -162,8 +167,8 @@ class OrbitCensus:
 def orbit_count(p: int, m: int, budget: int = DEFAULT_BUDGET) -> OrbitCensus:
     """Formula value and an independent union-find enumeration of the
     dilation orbits (one generator step per plane suffices)."""
-    from .gf import make_field
-
+    check_field(p, m)
+    refuse_sweep(m, p**m, budget, "planes")  # before the field is built
     field = make_field(p, m)
     planes = enumerate_planes(field, budget)
     index = {(pl.u, pl.v): i for i, pl in enumerate(planes)}
@@ -201,6 +206,18 @@ def orbit_count(p: int, m: int, budget: int = DEFAULT_BUDGET) -> OrbitCensus:
     )
 
 
+def refuse_sweep(
+    m: int, q: int, budget: int = DEFAULT_BUDGET, what: str = "plane invariants"
+) -> None:
+    """What a sweep of the planes of F_q, q = p^m, refuses before it
+    starts: a degree below 2, then an order above the budget.  It needs
+    only m and q, so a caller can refuse before the field and its tables
+    are built."""
+    if m < 2:
+        raise DegreeTooSmall(f"{what} need extension degree at least 2")
+    check_budget(q, budget)
+
+
 def z_values(
     field: FieldDesc, full_sweep: bool = False, budget: int = DEFAULT_BUDGET
 ) -> tuple[frozenset[int], frozenset[int]]:
@@ -211,9 +228,7 @@ def z_values(
     (every dilation orbit contains a plane through the prime-field
     line); full_sweep enumerates all planes instead and must agree.
     """
-    if field.m < 2:
-        raise DegreeTooSmall("plane invariants need extension degree at least 2")
-    check_budget(field.q, budget)
+    refuse_sweep(field.m, field.q, budget)
     if full_sweep:
         vals = {pl.nu_value() for pl in enumerate_planes(field, budget)}
     else:

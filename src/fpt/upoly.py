@@ -9,12 +9,11 @@ field moduli) lies over a prime field, so DensePoly refuses extension
 fields.  Multiplication switches to numpy once the vectors are long
 enough to pay for the call overhead, and division once the divisor is.
 Powers modulo a fixed polynomial f of degree n go by square-and-multiply,
-except repeated p-th powers once products mod f reach numpy: h -> h^p is
-F_p-linear on F_p[X]/(f), so a reduction context builds the Frobenius
-matrix of f once and then takes each p-th power as one matrix-vector
-product.  All numpy arithmetic is int64, exact while a dot product of n
-residues stays below n*(p-1)^2 < 2^63, which holds for every n below
-2^23 since p <= 2^20.
+except repeated p-th powers: h -> h^p is F_p-linear on F_p[X]/(f), so a
+reduction context can build the Frobenius matrix of f once and then take
+each p-th power as one matrix-vector product.  All numpy arithmetic is
+int64, exact while a dot product of n residues stays below
+n*(p-1)^2 < 2^63, which holds for every n below 2^23 since p <= 2^20.
 
 numpy is imported only when one of these large-polynomial routes is
 first entered, so the integer work of the rest of the library, and small
@@ -284,12 +283,13 @@ class _ModCtx:
     """Reduction context for repeated multiplication modulo a fixed
     nonconstant polynomial f of degree n over F_p.  While a product of two
     residues stays below _NP_MUL_THRESHOLD coefficients (n <= 11 at 24)
-    the context is pure Python: it reduces with _raw_divmod and takes
-    every power by square-and-multiply.  From there on products go to
-    numpy and are reduced with a precomputed matrix of X^k mod f rows, and
-    the second p-th power taken in a context builds the Frobenius matrix Q
-    (row i is X^(i*p) mod f), after which h^p is the single product
-    h @ Q mod p."""
+    the context is pure Python and reduces with _raw_divmod; from there on
+    products go to numpy and are reduced with a precomputed matrix of
+    X^k mod f rows.  Powers go by square-and-multiply, except that the
+    second p-th power taken in a context may build the Frobenius matrix Q
+    (row i is X^(i*p) mod f), after which h^p is the single product h Q:
+    a numpy context always builds it, a pure-Python one when its rows
+    cost fewer products than one squaring chain for p."""
 
     def __init__(self, field: FieldDesc, mod: list[int]):
         if len(mod) < 2:
@@ -298,7 +298,7 @@ class _ModCtx:
         self.p = p = field.p
         self.mod = list(mod)
         self.n = n = len(mod) - 1
-        self.rows = self.frob = None
+        self.rows = self.frob = self.x_p = None
         self.p_powers = 0
         if 2 * n >= _NP_MUL_THRESHOLD:
             _load_numpy()
@@ -333,17 +333,22 @@ class _ModCtx:
         if e < 0:
             raise ValueError("negative exponent in powmod")
         base = self.reduce(list(a))
-        if e == self.p and self.rows is not None:
-            # a one-off p-th power is cheaper by squaring than Q's n products
-            self.p_powers += 1
-            if self.p_powers == 2:
-                self.frob = self._frobenius_matrix()
-            if self.frob is not None:
-                if not base:
-                    return []
-                h = np.asarray(base, dtype=np.int64)
-                return _trim((h @ self.frob[: len(base)] % self.p).tolist())
-        return self._square_multiply(base, e)
+        if e != self.p:
+            return self._square_multiply(base, e)
+        # a one-off p-th power is cheaper by squaring than building Q; in
+        # pure Python Q is built only if its n - 2 new rows take fewer
+        # products than one square-and-multiply chain for p
+        self.p_powers += 1
+        if self.p_powers == 2 and (
+            self.rows is not None or self.n < self.p.bit_length() + self.p.bit_count()
+        ):
+            self.frob = self._frobenius_matrix()
+        if self.frob is not None:
+            return self._apply_frobenius(base)
+        h = self._square_multiply(base, e)
+        if base == [0, 1]:
+            self.x_p = h  # Q's second row: the distinct-degree loop's first step
+        return h
 
     def _square_multiply(self, base: list[int], e: int) -> list[int]:
         result = [1]
@@ -355,12 +360,31 @@ class _ModCtx:
                 base = self.mulmod(base, base)
         return result
 
-    def _frobenius_matrix(self) -> np.ndarray:
-        # shift[j] = X^(p+j) mod f is multiplication by X^p, so row i of Q
-        # is row i-1 times shift; shift is dropped once Q is built
+    def _apply_frobenius(self, h: list[int]) -> list[int]:
+        # h^p = sum of h_i * X^(i*p): h times Q
+        if not h:
+            return []
+        if self.rows is not None:
+            return _trim((np.asarray(h, dtype=np.int64) @ self.frob[: len(h)] % self.p).tolist())
+        out = [0] * self.n
+        for c, row in zip(h, self.frob):
+            if c:
+                for j, r in enumerate(row):
+                    out[j] += c * r
+        return _trim([v % self.p for v in out])
+
+    def _frobenius_matrix(self):
+        # row i of Q is row i-1 times X^p mod f: in pure Python one mulmod
+        # per row; on the numpy route shift[j] = X^(p+j) mod f is
+        # multiplication by X^p, dropped once Q is built
         n, p = self.n, self.p
+        xp_cs = self.x_p if self.x_p is not None else self._square_multiply([0, 1], p)
+        if self.rows is None:
+            frob = [[1]]
+            while len(frob) < n:
+                frob.append(self.mulmod(frob[-1], xp_cs))
+            return frob
         xp = np.zeros(n, dtype=np.int64)
-        xp_cs = self._square_multiply([0, 1], p)
         xp[: len(xp_cs)] = xp_cs
         shift = self._x_multiples(xp, n)
         frob = np.zeros((n, n), dtype=np.int64)

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 
 import fpt
-from fpt import cli, gf
+from fpt import cli, gf, planes
 from fpt.cli import main
 
 
@@ -189,31 +189,20 @@ def test_alpha_classical_cli(capsys):
     assert code == 0 and json.loads(out)["alpha"] == 10
 
 
-@pytest.mark.parametrize("argv", [
-    ("alpha", "table", "--p", "15"),
-    ("alpha", "table", "--p", "1"),
-    ("alpha", "density", "--limit", "1"),
-    ("fmp", "eval", "--p", "4", "--m", "5", "--z", "1"),
-    ("mv", "apparition", "--p", "9", "--z", "2"),
-])
-def test_invalid_parameter_exits_1_with_one_error_line(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-
-
-def _field_built_first(args, min_m=1):
+def _field_built_first(args, refuse=None):
     return gf.make_field(args.p, args.m)
 
 
 @pytest.mark.parametrize("command", [
+    ("planes", "count"),
     ("planes", "zvalues"),
     ("planes", "pencil", "--z", "1"),
     ("verify", "appendix"),
 ])
 def test_budget_refused_before_the_field_is_built(capsys, command):
     # same exit code and stderr as building the field and letting the
-    # command refuse, but a refusal never calls make_field
+    # command refuse, but a refusal never calls make_field; the built-first
+    # run replaces each pre-build check with make_field itself
     built, make_field = [], gf.make_field
 
     def spy(p, m):
@@ -223,10 +212,11 @@ def test_budget_refused_before_the_field_is_built(capsys, command):
     codes = set()
     for p, m, budget in itertools.product((1, 2, 3, 4, 5), (0, 1, 2, 3, 4), (2, 30, 100, 10**4)):
         argv = ("--budget", str(budget), *command[:2], "--p", str(p), "--m", str(m), *command[2:])
-        with mock.patch.object(cli, "_field", _field_built_first):
+        with mock.patch.object(cli, "_field", _field_built_first), \
+                mock.patch.object(planes, "check_field", make_field):
             expected = run_cli(capsys, *argv)
         built.clear()
-        with mock.patch.object(gf, "make_field", spy):
+        with mock.patch.object(gf, "make_field", spy), mock.patch.object(planes, "make_field", spy):
             got = run_cli(capsys, *argv)
         assert got == expected, argv
         assert got[0] != 2 or built == [], argv

@@ -135,15 +135,19 @@ def _square_multiply(ctx, h, e):
     st.integers(1, p - 1) | st.just(1),
     st.lists(st.lists(st.integers(0, p - 1), max_size=200), min_size=2, max_size=4),
 )))
-@example((5, [3] + [0] * 10, 2, [[1, 2, 3], [4]]))  # n = 11: pure Python, no Q
-@example((5, [3] + [0] * 11, 2, [[1, 2, 3], [4]]))  # n = 12: the smallest Q
+@example((5, [3], 2, [[1, 2, 3], [4]]))  # a linear modulus: Q is 1 x 1
+@example((5, [3] + [0] * 10, 2, [[1, 2, 3], [4]]))  # n = 11, p = 5: no Q
+@example((251, [3] + [0] * 10, 2, [[1, 2, 3], [4]]))  # n = 11, p = 251: Q in pure Python
+@example((5, [3] + [0] * 11, 2, [[1, 2, 3], [4]]))  # n = 12: the smallest numpy Q
 def test_frobenius_matrix_matches_square_and_multiply(case):
     p, low, lead, hs = case
     ctx = upoly._ModCtx(make_field(p, 1), low + [lead])
-    pure_python = 2 * ctx.n < upoly._NP_MUL_THRESHOLD
+    # in pure Python Q's n - 2 new rows must cost fewer products than the
+    # bit_length + bit_count - 2 of one square-and-multiply chain for p
+    builds_q = ctx.rows is not None or ctx.n < p.bit_length() + p.bit_count()
     for i, h in enumerate(map(upoly._trim, hs)):
         assert ctx.powmod(h, p) == _square_multiply(ctx, h, p)
-        assert (ctx.frob is None) == (i == 0 or pure_python)
+        assert (ctx.frob is None) == (i == 0 or not builds_q)
     assert ctx.powmod([0, 1], 2 * p) == _square_multiply(ctx, [0, 1], 2 * p)
 
 
@@ -167,14 +171,16 @@ def _ctx_answers(ctx, hs, exponents):
 @example((5, [3], 2, [[1, 2, 3], [4]], 7))  # a linear modulus
 def test_small_context_matches_the_numpy_route(case):
     # below the product threshold a context is pure Python; patching the
-    # threshold to 0 puts the same modulus on the numpy rows and Q
+    # threshold to 0 puts the same modulus on the numpy rows and Q.  X
+    # comes first, as in the distinct-degree loop, whose first p-th power
+    # is the X^p that Q is built from
     p, low, lead, hs, e = case
     field, mod = make_field(p, 1), low + [lead]
-    hs = [upoly._trim(h) for h in hs]
+    hs = [[0, 1]] + [upoly._trim(h) for h in hs]
     exponents = (p, 2 * p, e)
     small = upoly._ModCtx(field, mod)
     expected = _ctx_answers(small, hs, exponents)
-    assert small.rows is None and small.frob is None
+    assert small.rows is None
     with mock.patch.object(upoly, "_NP_MUL_THRESHOLD", 0):
         numpy_route = upoly._ModCtx(field, mod)
         assert _ctx_answers(numpy_route, hs, exponents) == expected
