@@ -8,7 +8,7 @@ nothing here uses floating point except the one reported density.
 
 from .errors import BudgetExceeded, FptError
 from .fmp import SparseSupport, build_recursive, build_zigzag, eval_fp, theta
-from .gf import FieldDesc, FieldElem, enumerate_elements, frobenius, make_field, mult_order
+from .gf import FieldDesc, make_field
 from .upoly import DegreeMultiset, DensePoly, IntPoly, distinct_degree_factor, is_irreducible
 from .zigzag import ZigzagSeq, enum_zigzag, negafibonacci, zeckendorf
 
@@ -19,7 +19,6 @@ __all__ = [
     "DegreeMultiset",
     "DensePoly",
     "FieldDesc",
-    "FieldElem",
     "FptError",
     "IntPoly",
     "SparseSupport",
@@ -28,12 +27,9 @@ __all__ = [
     "build_zigzag",
     "distinct_degree_factor",
     "enum_zigzag",
-    "enumerate_elements",
     "eval_fp",
-    "frobenius",
     "is_irreducible",
     "make_field",
-    "mult_order",
     "negafibonacci",
     "theta",
     "zeckendorf",

@@ -162,7 +162,9 @@ def alpha_any(n: int) -> int:
 
 
 def check_divisibility_law(p: int) -> bool:
-    """alpha(p) divides p - (5|p); p = 5 is excluded."""
+    """The paper's divisibility law at z = 1: the Fibonacci entry point
+    alpha(p) divides p - (5|p), since X^2 + 3X + 1 has discriminant 5;
+    p = 5 is excluded."""
     if p == 5:
         raise PIsFive("the law excludes p = 5")
     if p == 2:
@@ -171,8 +173,9 @@ def check_divisibility_law(p: int) -> bool:
 
 
 def wall_check(n: int, limit: int) -> bool:
-    """n divides Fib(k) exactly when the entry point of n divides k,
-    verified for all indices up to limit."""
+    """The entry-point property the paper's orders of appearance
+    generalize: n divides Fib(k) exactly when the entry point of n
+    divides k, verified for all indices up to limit."""
     alpha = alpha_classical(n)
     a, b = 0, 1
     for k in range(1, limit + 1):
@@ -192,9 +195,9 @@ class SalleReport:
 
 
 def salle_bound_scan(limit: int) -> SalleReport:
-    """Verify alpha(Z) <= 2Z for 2 <= Z <= limit and list the equality
-    cases, asserting they are exactly 6, 30, 150, ... (6 times powers
-    of 5)."""
+    """The paper's entry-point bound (Sallé): verify alpha(Z) <= 2Z for
+    2 <= Z <= limit and list the equality cases, asserting they are
+    exactly 6, 30, 150, ... (6 times powers of 5)."""
     if limit > 10**5:
         raise ValueError("scan limit capped at 1e5")
     equality = []
@@ -275,7 +278,11 @@ def sigma_map(r: int, p: int) -> int:
 
 
 def sigma_image(p: int) -> dict[int, tuple[int, ...]]:
-    """The image of sigma with fibers: value -> sorted r's mapping there."""
+    """The image of sigma with fibers: value -> sorted r's mapping there.
+
+    The paper's link to Artin's conjecture: sigma is 2-to-1 onto (p-3)/2
+    values with fibers {r, 1/r}, and alpha(sigma(r), p) is the
+    multiplicative order of r, so primitive roots r give alpha = p - 1."""
     out: dict[int, list[int]] = {}
     for r in range(2, p - 1):
         out.setdefault(sigma_map(r, p), []).append(r)

@@ -13,22 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    DependentPair,
-    FieldMismatch,
-    Fp2OrbitDenominator,
-)
+from .errors import DependentPair, Fp2OrbitDenominator
 from .fmp import theta
-from .gf import DEFAULT_BUDGET, FieldDesc, FieldElem, check_budget
-
-
-def _common_field(x: FieldElem, y: FieldElem) -> FieldDesc:
-    if x.field != y.field:
-        raise FieldMismatch("bracket arguments lie in different fields")
-    return x.field
+from .gf import DEFAULT_BUDGET, FieldDesc, check_budget
 
 
 def bracket_code(field: FieldDesc, i: int, j: int, x: int, y: int) -> int:
+    """The 2x2 Moore determinant x^(p^i) y^(p^j) - x^(p^j) y^(p^i)."""
     xi = field.frob_code(x, i)
     xj = field.frob_code(x, j)
     yi = field.frob_code(y, i)
@@ -36,13 +27,8 @@ def bracket_code(field: FieldDesc, i: int, j: int, x: int, y: int) -> int:
     return field.sub_code(field.mul_code(xi, yj), field.mul_code(xj, yi))
 
 
-def bracket(i: int, j: int, x: FieldElem, y: FieldElem) -> FieldElem:
-    """The 2x2 Moore determinant x^(p^i) y^(p^j) - x^(p^j) y^(p^i)."""
-    field = _common_field(x, y)
-    return FieldElem(field, bracket_code(field, i, j, x.code, y.code))
-
-
 def i0_code(field: FieldDesc, x: int, y: int) -> int:
+    """I_0 = [1,2]/[0,1], computed as [0,1]^(p-1)."""
     b01 = bracket_code(field, 0, 1, x, y)
     if b01 == 0:
         raise DependentPair("I_0 needs a linearly independent pair")
@@ -50,6 +36,7 @@ def i0_code(field: FieldDesc, x: int, y: int) -> int:
 
 
 def i1_code(field: FieldDesc, x: int, y: int) -> int:
+    """I_1 = [0,2]/[0,1]."""
     b01 = bracket_code(field, 0, 1, x, y)
     if b01 == 0:
         raise DependentPair("I_1 needs a linearly independent pair")
@@ -57,19 +44,9 @@ def i1_code(field: FieldDesc, x: int, y: int) -> int:
     return field.mul_code(b02, field.inv_code(b01))
 
 
-def invariant_I0(x: FieldElem, y: FieldElem) -> FieldElem:
-    """[1,2]/[0,1], computed as [0,1]^(p-1)."""
-    field = _common_field(x, y)
-    return FieldElem(field, i0_code(field, x.code, y.code))
-
-
-def invariant_I1(x: FieldElem, y: FieldElem) -> FieldElem:
-    """[0,2]/[0,1]."""
-    field = _common_field(x, y)
-    return FieldElem(field, i1_code(field, x.code, y.code))
-
-
 def nu_code(field: FieldDesc, x: int, y: int) -> int:
+    """nu = -I_1^(p+1)/I_0^p; zero exactly on the orbit of the quadratic
+    subfield, invariant under basis change and scaling."""
     i0 = i0_code(field, x, y)  # nonzero whenever the pair is independent
     i1 = i1_code(field, x, y)
     if i1 == 0:
@@ -92,13 +69,6 @@ def nu_point_code(field: FieldDesc, x: int) -> int:
     num = field.pow_code(i1, field.p + 1)
     den = field.pow_code(i0, field.p)
     return field.neg_code(field.mul_code(num, field.inv_code(den)))
-
-
-def nu(x: FieldElem, y: FieldElem) -> FieldElem:
-    """-I_1^(p+1)/I_0^p; zero exactly on the orbit of the quadratic
-    subfield, invariant under basis change and scaling."""
-    field = _common_field(x, y)
-    return FieldElem(field, nu_code(field, x.code, y.code))
 
 
 def bracket_F_code(field: FieldDesc, m: int, x: int, y: int) -> int:
@@ -139,11 +109,6 @@ def bracket_F_code(field: FieldDesc, m: int, x: int, y: int) -> int:
     if (k + 1) % 2 == 1:
         out = field.mul_code(out, sign_one)
     return out
-
-
-def bracket_F(m: int, x: FieldElem, y: FieldElem) -> FieldElem:
-    field = _common_field(x, y)
-    return FieldElem(field, bracket_F_code(field, m, x.code, y.code))
 
 
 @dataclass(frozen=True)

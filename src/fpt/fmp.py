@@ -196,7 +196,9 @@ def gcd_check(m: int, n: int, p: int, budget: int = DENSE_DEGREE_BUDGET) -> bool
 
 def eval_support_in_field(member: SparseSupport, field, x_code: int) -> int:
     """Evaluate a family member at an element of an extension field of
-    the same characteristic (sum of powers; exponents arbitrary size)."""
+    the same characteristic (sum of powers; exponents arbitrary size).
+    It checks the paper's bracket-product formula F_m(x, 1) =
+    family_m(nu(x, 1)) at points x of F_{p^m}."""
     if field.p != member.p:
         raise NotPrimeFieldElement("field characteristic does not match the family")
     acc = 0
@@ -206,7 +208,10 @@ def eval_support_in_field(member: SparseSupport, field, x_code: int) -> int:
 
 
 def neg_base_digits(n: int, p: int) -> list[int]:
-    """Digits of n in base -p, least significant first, each in [0, p)."""
+    """Digits of n in base -p, least significant first, each in [0, p).
+    They check the paper's zigzag support claim: each exponent of an
+    odd-index member, and minus each exponent of an even-index member,
+    has only digits 0 and 1 in base -p."""
     digits = []
     while n != 0:
         r = n % p

@@ -14,25 +14,19 @@ Internally every element is an integer code sum(c_i * p^i) with all
 c_i in [0, p).  Fields with at most TABLE_LIMIT elements and m >= 2 get
 discrete exp/log tables at construction time, making multiplication,
 inversion and exponentiation O(1); prime fields use direct modular
-arithmetic.  A FieldDesc is immutable once make_field returns it, so
-descriptors and elements are safe to share between threads.
-
-The code-level methods (add_code, mul_code, ...) are the bulk interface
-used by enumeration sweeps; FieldElem wraps a code for the typed API.
+arithmetic.  A FieldDesc is immutable once make_field returns it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     BudgetExceeded,
     CompositeModulusBase,
     DegreeZero,
     DivisionByZero,
-    FieldMismatch,
     ZeroElement,
 )
 from .numth import factorize, is_prime
@@ -68,7 +62,7 @@ class FieldDesc:
         col = g
         for _ in range(m):
             xcols.append(col)
-            col = self._shift_reduce(col)
+            col = self._polymul_code(col, self.p)  # times X, whose code is p
         exp = [0] * (q - 1)
         log = [-1] * q
         if p == 2:
@@ -104,17 +98,6 @@ class FieldDesc:
             raise AssertionError("generator stepping did not cover the group")
         self._exp = exp
         self._log = log
-
-    def _shift_reduce(self, code: int) -> int:
-        # code * X mod modulus, via coefficient vectors
-        p, m = self.p, self.m
-        cs = self.to_coeffs(code)
-        lead = cs[m - 1]
-        cs = [0] + cs[: m - 1]
-        if lead:
-            for i in range(m):
-                cs[i] = (cs[i] - lead * self.modulus[i]) % p
-        return self.from_coeffs(cs)
 
     def _polymul_code(self, a: int, b: int) -> int:
         # table-free multiplication used during bootstrap and for big fields
@@ -265,31 +248,6 @@ class FieldDesc:
     def codes(self) -> range:
         return range(self.q)
 
-    # -- element-level API ---------------------------------------------------
-
-    def elem(self, coeffs) -> "FieldElem":
-        """Element from a coefficient list (constant term first) or an
-        integer residue of the prime subfield."""
-        if isinstance(coeffs, int):
-            return FieldElem(self, coeffs % self.p)
-        cs = list(coeffs) + [0] * (self.m - len(coeffs))
-        if len(cs) > self.m:
-            raise ValueError("coefficient vector longer than extension degree")
-        return FieldElem(self, self.from_coeffs(cs))
-
-    def from_code(self, code: int) -> "FieldElem":
-        return FieldElem(self, code)
-
-    def zero(self) -> "FieldElem":
-        return FieldElem(self, 0)
-
-    def one(self) -> "FieldElem":
-        return FieldElem(self, 1)
-
-    def gen(self) -> "FieldElem":
-        """The class of X (only meaningful for m >= 2)."""
-        return FieldElem(self, self.p if self.m >= 2 else 1)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldDesc)
@@ -304,62 +262,6 @@ class FieldDesc:
 
     def to_json(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
-
-
-@dataclass(frozen=True)
-class FieldElem:
-    """An element of a FieldDesc, stored as its integer code."""
-
-    field: FieldDesc
-    code: int
-
-    @property
-    def coeffs(self) -> list[int]:
-        return self.field.to_coeffs(self.code)
-
-    def _check(self, other: "FieldElem") -> None:
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-
-    def __add__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.field, self.field.add_code(self.code, other.code))
-
-    def __sub__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.field, self.field.sub_code(self.code, other.code))
-
-    def __mul__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.field, self.field.mul_code(self.code, other.code))
-
-    def __truediv__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(
-            self.field,
-            self.field.mul_code(self.code, self.field.inv_code(other.code)),
-        )
-
-    def __neg__(self) -> "FieldElem":
-        return FieldElem(self.field, self.field.neg_code(self.code))
-
-    def __pow__(self, e: int) -> "FieldElem":
-        return FieldElem(self.field, self.field.pow_code(self.code, e))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def is_zero(self) -> bool:
-        return self.code == 0
-
-    def in_prime_field(self) -> bool:
-        return self.code < self.field.p
-
-    def __repr__(self) -> str:
-        return f"FieldElem({self.coeffs} over p={self.field.p},m={self.field.m})"
-
-    def to_json(self) -> list[int]:
-        return self.coeffs
 
 
 # -- module-level operations ----------------------------------------------
@@ -395,33 +297,18 @@ def make_field(p: int, m: int) -> FieldDesc:
     prime = make_field(p, 1)
     # product() varies the last digit fastest: reversed, the tuples run
     # through the codes sum(c_i * p^i) in ascending order
-    for digits in itertools.product(range(p), repeat=m):
+    candidates = itertools.product(range(p), repeat=m)
+    if any((p - 1) % r for r in factorize(m)) or (m % 4 == 0 and p % 4 == 3):
+        # the first p candidates are the binomials X^m + c; one can be
+        # irreducible only if every prime factor of m divides p - 1 and,
+        # when 4 divides m, p = 1 mod 4 (Lidl and Niederreiter, Finite
+        # Fields, Theorem 3.75)
+        candidates = itertools.islice(candidates, p, None)
+    for digits in candidates:
         coeffs = digits[::-1] + (1,)
         if is_irreducible(DensePoly(prime, coeffs)):
             return FieldDesc(p, m, coeffs)
     raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-def frobenius(x: FieldElem, k: int = 1) -> FieldElem:
-    """x^(p^k): the Frobenius automorphism iterated k times."""
-    return FieldElem(x.field, x.field.frob_code(x.code, k))
-
-
-def mult_order(x: FieldElem) -> int:
-    """Least k >= 1 with x^k = 1, by stripping prime factors of q - 1."""
-    return x.field.order_code(x.code)
-
-
-def enumerate_elements(field: FieldDesc, budget: int = DEFAULT_BUDGET):
-    """Every element of the field exactly once, in ascending
-    coefficient-code order; the budget is checked before any iteration."""
-    check_budget(field.q, budget)
-    return (FieldElem(field, code) for code in field.codes())
-
-
-def subfield_membership(x: FieldElem, d: int) -> bool:
-    """x lies in F_{p^d} (for d dividing m) iff Frobenius^d fixes x."""
-    return x.field.frob_code(x.code, d) == x.code
 
 
 def frobenius_orbit_minpoly(field: FieldDesc, t: int) -> tuple[list[int], list[int]]:

@@ -48,7 +48,9 @@ def mv_poly(kind: str, k: int) -> IntPoly:
 
 
 def mv_three_term_check(kind: str, k: int) -> bool:
-    """(X+2) g_{k-1} - g_{k-2} = g_k within one parity family."""
+    """(X+2) g_{k-1} - g_{k-2} = g_k within one parity family: the
+    paper's claim that at the "prime" 1 the family's three-term
+    recursion becomes the classical Morgan-Voyce recursion."""
     if k < 2:
         raise ValueError("the three-term recursion starts at k = 2")
     xp2 = IntPoly((2, 1))
@@ -57,7 +59,10 @@ def mv_three_term_check(kind: str, k: int) -> bool:
 
 
 def fib_poly(m: int) -> IntPoly:
-    """Fibonacci polynomials: 0, 1, then X f_{m-1} + f_{m-2}."""
+    """Fibonacci polynomials: 0, 1, then X f_{m-1} + f_{m-2}.
+
+    They check the paper's bridge to Morgan-Voyce polynomials,
+    f_(2k+1)(X) = b_k(X^2) and f_(2k+2)(X) = X B_k(X^2), and f_m(1) = Fib(m)."""
     if m < 0:
         raise ValueError("index must be >= 0")
     prev, cur = IntPoly(()), IntPoly((1,))

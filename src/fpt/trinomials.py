@@ -148,7 +148,9 @@ def gamma_bar(z: int, p: int) -> DensePoly:
 
 def linear_roots(z: int, p: int) -> frozenset[int]:
     """Roots of gamma_z lying in F_p: none, a pair of inverses, or the
-    double cases at z = 0 and z = -4."""
+    double cases at z = 0 and z = -4.  These are the linear content the
+    paper excepts from its claim that all irreducible factors share one
+    degree."""
     z %= p
     if z == 0:
         return frozenset({(-1) % p})

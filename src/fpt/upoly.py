@@ -36,7 +36,7 @@ from .errors import (
     ConstantModulus,
     FieldMismatch,
 )
-from .gf import FieldDesc, make_field
+from .gf import FieldDesc
 
 _NP_MUL_THRESHOLD = 24
 # divisor length from which a numpy slice per quotient coefficient beats
@@ -256,7 +256,9 @@ class DensePoly:
         return DensePoly(f, tuple(out))
 
     def scale_arg(self, a: int) -> "DensePoly":
-        """The composition f(a*X)."""
+        """The composition f(a*X).  It checks the paper's rescaling
+        delta_z = z^(-2) beta_z(zX), by which gamma_z, beta_z and delta_z
+        share one factorization degree multiset."""
         p = self.field.p
         out, power = [], 1
         for coef in self.coeffs:
@@ -621,9 +623,3 @@ def int_poly_eval(f: IntPoly, x: int) -> int:
     for c in reversed(f.coeffs):
         acc = acc * x + c
     return acc
-
-
-def int_poly_mod_p(f: IntPoly, p: int) -> DensePoly:
-    """Reduce the coefficients into F_p."""
-    field = make_field(p, 1)
-    return DensePoly.make(field, f.coeffs)

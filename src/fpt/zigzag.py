@@ -72,11 +72,6 @@ class ZigzagSeq:
     def __len__(self) -> int:
         return len(self.bits)
 
-    def ones_positions(self) -> tuple[int, ...]:
-        """Indices i (little-endian: e_i) where the sequence holds a 1."""
-        n = len(self.bits)
-        return tuple(n - 1 - k for k, b in enumerate(self.bits) if b)[::-1]
-
     def as_string(self) -> str:
         return "".join(str(b) for b in self.bits)
 
@@ -85,7 +80,10 @@ class ZigzagSeq:
 
 
 def is_zigzag(bits: Iterable[int], orientation: str = DOWN_UP) -> bool:
-    """Check the alternating inequality chain; length <= 1 is vacuously true."""
+    """Check the alternating inequality chain; length <= 1 is vacuously true.
+
+    This is the paper's definition of a zigzag sequence, the brute-force
+    oracle for enum_zigzag and its Fibonacci counts."""
     return _chain_ok(_check_bits(bits), orientation)
 
 

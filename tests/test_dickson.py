@@ -5,40 +5,44 @@ import random
 
 import pytest
 
-from fpt import dickson, fmp, gf
+from fpt import fmp, gf
 from fpt.dickson import (
-    bracket,
-    bracket_F,
-    invariant_I0,
-    invariant_I1,
-    nu,
+    bracket_code,
+    bracket_F_code,
+    i0_code,
+    i1_code,
     nu_code,
     verify_appendix_recursion,
 )
 from fpt.errors import DependentPair, Fp2OrbitDenominator
 
 
-def rand_elems(field, rng, count):
+def rand_codes(field, rng, count):
     for _ in range(count):
-        yield field.from_code(rng.randrange(field.q))
+        yield rng.randrange(field.q)
+
+
+def outside_prime_field(F):
+    return (x for x in F.codes() if F.frob_code(x) != x)
 
 
 def test_bracket_alternating_and_antisymmetric():
     rng = random.Random(1)
     F = gf.make_field(3, 4)
-    for x, y in zip(rand_elems(F, rng, 50), rand_elems(F, rng, 50)):
-        assert bracket(0, 1, x, x).is_zero()
-        assert bracket(0, 1, x, y) == -bracket(1, 0, x, y)
-        assert bracket(2, 3, x, y) == -bracket(3, 2, x, y)
+    for x, y in zip(rand_codes(F, rng, 50), rand_codes(F, rng, 50)):
+        assert bracket_code(F, 0, 1, x, x) == 0
+        assert bracket_code(F, 0, 1, x, y) == F.neg_code(bracket_code(F, 1, 0, x, y))
+        assert bracket_code(F, 2, 3, x, y) == F.neg_code(bracket_code(F, 3, 2, x, y))
 
 
 def test_bracket_p_power_shift():
     rng = random.Random(2)
     for (p, m) in [(2, 6), (3, 4), (5, 3)]:
         F = gf.make_field(p, m)
-        for x, y in zip(rand_elems(F, rng, 30), rand_elems(F, rng, 30)):
+        for x, y in zip(rand_codes(F, rng, 30), rand_codes(F, rng, 30)):
             for (i, j) in ((0, 1), (0, 2), (1, 3)):
-                assert bracket(i, j, x, y) ** p == bracket(i + 1, j + 1, x, y)
+                shifted = bracket_code(F, i + 1, j + 1, x, y)
+                assert F.frob_code(bracket_code(F, i, j, x, y)) == shifted
 
 
 def test_bracket_cocycle_normalized_second_argument():
@@ -48,43 +52,44 @@ def test_bracket_cocycle_normalized_second_argument():
     for (p, m) in [(2, 6), (3, 4)]:
         F = gf.make_field(p, m)
         for _ in range(120):
-            x = F.from_code(rng.randrange(F.q))
-            y = F.elem(rng.randrange(1, p))
+            x = rng.randrange(F.q)
+            y = rng.randrange(1, p)  # a nonzero prime-field code
             i = rng.randrange(2)
             j = i + 1 + rng.randrange(2)
             k = j + rng.randrange(2)
             l = k + 1 + rng.randrange(2)
-            total = bracket(i, j, x, y) + bracket(j, k, x, y) + bracket(k, l, x, y)
-            assert bracket(i, l, x, y) == total
+            total = 0
+            for a, b in ((i, j), (j, k), (k, l)):
+                total = F.add_code(total, bracket_code(F, a, b, x, y))
+            assert bracket_code(F, i, l, x, y) == total
 
 
 def test_bracket_plucker_identity():
     rng = random.Random(4)
     for (p, m) in [(2, 5), (3, 4), (5, 3)]:
         F = gf.make_field(p, m)
-        for x, y in zip(rand_elems(F, rng, 40), rand_elems(F, rng, 40)):
+        for x, y in zip(rand_codes(F, rng, 40), rand_codes(F, rng, 40)):
             idx = sorted(rng.sample(range(5), 4))
             i, j, k, l = idx
-            lhs = (
-                bracket(i, j, x, y) * bracket(k, l, x, y)
-                - bracket(i, k, x, y) * bracket(j, l, x, y)
-                + bracket(i, l, x, y) * bracket(j, k, x, y)
-            )
-            assert lhs.is_zero()
+
+            def prod(a, b, c, d):
+                return F.mul_code(bracket_code(F, a, b, x, y), bracket_code(F, c, d, x, y))
+
+            lhs = F.add_code(F.sub_code(prod(i, j, k, l), prod(i, k, j, l)), prod(i, l, j, k))
+            assert lhs == 0
 
 
 def test_bracket_prime_field_bilinearity():
     rng = random.Random(5)
     F = gf.make_field(3, 4)
     for _ in range(60):
-        x = F.from_code(rng.randrange(F.q))
-        x2 = F.from_code(rng.randrange(F.q))
-        y = F.from_code(rng.randrange(F.q))
-        c = rng.randrange(3)
-        ce = F.elem(c)
-        assert bracket(0, 2, x + x2, y) == bracket(0, 2, x, y) + bracket(0, 2, x2, y)
-        assert bracket(0, 2, ce * x, y) == ce * bracket(0, 2, x, y)
-        assert bracket(1, 2, x, ce * y) == ce * bracket(1, 2, x, y)
+        x, x2, y = rng.randrange(F.q), rng.randrange(F.q), rng.randrange(F.q)
+        c = rng.randrange(3)  # a prime-field code
+        assert bracket_code(F, 0, 2, F.add_code(x, x2), y) == F.add_code(
+            bracket_code(F, 0, 2, x, y), bracket_code(F, 0, 2, x2, y)
+        )
+        assert bracket_code(F, 0, 2, F.mul_code(c, x), y) == F.mul_code(c, bracket_code(F, 0, 2, x, y))
+        assert bracket_code(F, 1, 2, x, F.mul_code(c, y)) == F.mul_code(c, bracket_code(F, 1, 2, x, y))
 
 
 def test_bracket_divisibility_pointwise():
@@ -96,30 +101,27 @@ def test_bracket_divisibility_pointwise():
                 for j, k in ((1, 2), (1, 3), (2, 2)):
                     if j * k > m:
                         continue
-                    if dickson.bracket_code(F, 0, j, x, y) == 0:
-                        assert dickson.bracket_code(F, 0, j * k, x, y) == 0
+                    if bracket_code(F, 0, j, x, y) == 0:
+                        assert bracket_code(F, 0, j * k, x, y) == 0
 
 
 def test_invariants_on_line():
     # I_1(x,1) = I_0(x,1) + 1, and I_0 never vanishes off the prime field
     for (p, m) in [(3, 2), (3, 4), (2, 6), (5, 2)]:
         F = gf.make_field(p, m)
-        one = F.one()
-        for x in gf.enumerate_elements(F):
-            if gf.frobenius(x) == x:
-                continue
-            i0 = invariant_I0(x, one)
-            assert not i0.is_zero()
-            assert invariant_I1(x, one) == i0 + one
+        for x in outside_prime_field(F):
+            i0 = i0_code(F, x, 1)
+            assert i0 != 0
+            assert i1_code(F, x, 1) == F.add_code(i0, 1)
 
 
 def test_invariants_reject_dependent_pairs():
     F = gf.make_field(3, 3)
-    x = F.gen()
+    x = F.p  # the code of X
     with pytest.raises(DependentPair):
-        invariant_I0(x, x + x)
+        i0_code(F, x, F.add_code(x, x))
     with pytest.raises(DependentPair):
-        nu(F.elem(2), F.one())
+        nu_code(F, 2, 1)
 
 
 def test_invariant_scaling_weights():
@@ -127,54 +129,47 @@ def test_invariant_scaling_weights():
     for (p, m) in [(3, 4), (2, 6)]:
         F = gf.make_field(p, m)
         for _ in range(40):
-            x = F.from_code(rng.randrange(F.q))
-            y = F.from_code(rng.randrange(F.q))
-            lam = F.from_code(rng.randrange(1, F.q))
+            x, y = rng.randrange(F.q), rng.randrange(F.q)
+            lam = rng.randrange(1, F.q)
             try:
-                i0 = invariant_I0(x, y)
+                i0 = i0_code(F, x, y)
             except DependentPair:
                 continue
-            assert invariant_I0(lam * x, lam * y) == lam ** ((p + 1) * (p - 1)) * i0
-            i1 = invariant_I1(x, y)
-            assert invariant_I1(lam * x, lam * y) == lam ** (p * (p - 1)) * i1
-            assert nu(lam * x, lam * y) == nu(x, y)
+            lx, ly = F.mul_code(lam, x), F.mul_code(lam, y)
+            assert i0_code(F, lx, ly) == F.mul_code(F.pow_code(lam, (p + 1) * (p - 1)), i0)
+            i1 = i1_code(F, x, y)
+            assert i1_code(F, lx, ly) == F.mul_code(F.pow_code(lam, p * (p - 1)), i1)
+            assert nu_code(F, lx, ly) == nu_code(F, x, y)
 
 
 def test_invariant_frobenius_compatibility():
     rng = random.Random(7)
     F = gf.make_field(3, 4)
     for _ in range(40):
-        x = F.from_code(rng.randrange(F.q))
-        y = F.from_code(rng.randrange(F.q))
+        x, y = rng.randrange(F.q), rng.randrange(F.q)
         try:
-            i0 = invariant_I0(x, y)
+            i0 = i0_code(F, x, y)
         except DependentPair:
             continue
-        fx, fy = gf.frobenius(x), gf.frobenius(y)
-        assert invariant_I0(fx, fy) == i0**3
-        assert invariant_I1(fx, fy) == invariant_I1(x, y) ** 3
+        fx, fy = F.frob_code(x), F.frob_code(y)
+        assert i0_code(F, fx, fy) == F.pow_code(i0, 3)
+        assert i1_code(F, fx, fy) == F.pow_code(i1_code(F, x, y), 3)
+        assert nu_code(F, fx, fy) == F.pow_code(nu_code(F, x, y), 3)
 
 
 def test_nu_zero_exactly_on_quadratic_subfield():
     F = gf.make_field(3, 4)
-    one = F.one()
-    for x in gf.enumerate_elements(F):
-        if gf.frobenius(x) == x:
-            continue
-        val = nu(x, one)
-        in_quadratic = gf.subfield_membership(x, 2)
-        assert val.is_zero() == in_quadratic
+    for x in outside_prime_field(F):
+        in_quadratic = F.frob_code(x, 2) == x
+        assert (nu_code(F, x, 1) == 0) == in_quadratic
 
 
 def test_nu_is_minus_one_on_cubic_subfield():
     for p in (2, 3, 5):
         F = gf.make_field(p, 3)
-        one = F.one()
-        minus_one = -one
-        for x in gf.enumerate_elements(F):
-            if gf.frobenius(x) == x:
-                continue
-            assert nu(x, one) == minus_one
+        minus_one = F.neg_code(1)
+        for x in outside_prime_field(F):
+            assert nu_code(F, x, 1) == minus_one
 
 
 def test_nu_bracket_quotient_form():
@@ -184,13 +179,13 @@ def test_nu_bracket_quotient_form():
         F = gf.make_field(p, m)
         for _ in range(120):
             x, y = rng.randrange(F.q), rng.randrange(F.q)
-            if dickson.bracket_code(F, 0, 1, x, y) == 0:
+            if bracket_code(F, 0, 1, x, y) == 0:
                 continue
             num = F.mul_code(
-                dickson.bracket_code(F, 0, 2, x, y), dickson.bracket_code(F, 1, 3, x, y)
+                bracket_code(F, 0, 2, x, y), bracket_code(F, 1, 3, x, y)
             )
             den = F.mul_code(
-                dickson.bracket_code(F, 0, 1, x, y), dickson.bracket_code(F, 2, 3, x, y)
+                bracket_code(F, 0, 1, x, y), bracket_code(F, 2, 3, x, y)
             )
             assert nu_code(F, x, y) == F.neg_code(F.mul_code(num, F.inv_code(den)))
 
@@ -219,24 +214,20 @@ def test_nu_is_a_class_function_of_the_plane():
 def test_bracket_F_base_cases():
     rng = random.Random(10)
     F = gf.make_field(3, 4)
-    one = F.one()
     for _ in range(30):
-        x = F.from_code(rng.randrange(F.q))
-        if gf.frobenius(x) == x:
+        x = rng.randrange(F.q)
+        if F.frob_code(x) == x:
             continue
-        assert bracket_F(1, x, one) == one
-        assert bracket_F(2, x, one) == one
-        assert bracket_F(3, x, one) == nu(x, one) + one
+        assert bracket_F_code(F, 1, x, 1) == 1
+        assert bracket_F_code(F, 2, x, 1) == 1
+        assert bracket_F_code(F, 3, x, 1) == F.add_code(nu_code(F, x, 1), 1)
 
 
 def test_bracket_F_even_rejects_quadratic_orbit():
     F = gf.make_field(3, 4)
-    quad = next(
-        x for x in gf.enumerate_elements(F)
-        if gf.subfield_membership(x, 2) and gf.frobenius(x) != x
-    )
+    quad = next(x for x in outside_prime_field(F) if F.frob_code(x, 2) == x)
     with pytest.raises(Fp2OrbitDenominator):
-        bracket_F(4, quad, F.one())
+        bracket_F_code(F, 4, quad, 1)
 
 
 def test_bracket_F_matches_family_polynomial():
@@ -244,13 +235,10 @@ def test_bracket_F_matches_family_polynomial():
     F = gf.make_field(3, 5)  # odd degree: no quadratic subfield to dodge
     cache = {}
     fmp.build_recursive(5, 3, cache)
-    one = F.one()
-    for x in gf.enumerate_elements(F):
-        if gf.frobenius(x) == x:
-            continue
-        nux = nu_code(F, x.code, 1)
+    for x in outside_prime_field(F):
+        nux = nu_code(F, x, 1)
         for m in range(2, 6):
-            lhs = bracket_F(m, x, one).code
+            lhs = bracket_F_code(F, m, x, 1)
             rhs = fmp.eval_support_in_field(cache[m], F, nux)
             assert lhs == rhs
 

@@ -15,8 +15,9 @@ from fpt.morganvoyce import (
     mv_three_term_check,
     mv_value,
 )
+from fpt.gf import make_field
 from fpt.numth import fib, primes_upto
-from fpt.upoly import int_poly_eval, int_poly_mod_p
+from fpt.upoly import DensePoly, int_poly_eval
 
 
 def test_f_m1_base_cases():
@@ -98,7 +99,7 @@ def test_family_reduces_mod_p():
     # of collapsing to 1, so the two families genuinely differ there)
     for p in (3, 5, 7, 11, 13, 19):
         for n in range(p + 2):
-            dense = int_poly_mod_p(f_m1(n), p)
+            dense = DensePoly.make(make_field(p, 1), f_m1(n).coeffs)
             for z in range(1, p):
                 assert dense.eval_code(z) == eval_fp(n, p, z)
             if n >= 1:

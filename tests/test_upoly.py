@@ -18,7 +18,6 @@ from fpt.upoly import (
     distinct_degree_factor,
     equal_degree_split,
     int_poly_eval,
-    int_poly_mod_p,
     is_irreducible,
     poly_gcd,
     poly_powmod,
@@ -376,9 +375,9 @@ def test_int_poly_ops():
     assert int_poly_eval(IntPoly.make([0, 0, 1]), 10**30) == 10**60
 
 
-def test_int_poly_mod_p():
+def test_densepoly_make_reduces_integer_coefficients():
     f = IntPoly.make([10, -3, 7])
-    g = int_poly_mod_p(f, 7)
+    g = DensePoly.make(make_field(7, 1), f.coeffs)
     assert list(g.coeffs) == [3, 4]
     assert g.field.p == 7
 

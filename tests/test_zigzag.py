@@ -226,7 +226,6 @@ def test_negafibonacci_unique_by_exhaustion():
 def test_sequence_api():
     s = ZigzagSeq((1, 0, 1))
     assert s.as_string() == "101"
-    assert s.ones_positions() == (0, 2)
     assert len(s) == 3
     with pytest.raises(ValueError):
         ZigzagSeq((0, 1, 1), DOWN_UP)
