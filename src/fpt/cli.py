@@ -89,6 +89,7 @@ def _field(args, refuse=None) -> gf.FieldDesc:
 
 
 def _cmd_fmp_build(args):
+    fmp.refuse_build(args.m, args.budget)  # before the cache, so disk state cannot matter
     if args.cache_dir:
         path = Path(args.cache_dir) / f"fmp_{args.p}_{args.m}.json"
         if path.exists():

@@ -20,11 +20,15 @@ from .errors import (
     NotPrimeFieldElement,
     SupportCollision,
 )
-from .gf import make_field
+from .gf import DEFAULT_BUDGET, make_field
 from .upoly import DensePoly, poly_gcd
 from .zigzag import enum_zigzag, value_base
 
 DENSE_DEGREE_BUDGET = 10**5
+# support terms a build may hold per budget unit: at the default budget the
+# line falls between m = 36, whose build peaks at 2.8 GB RSS, and m = 37,
+# which exhausts a 3 GB address space (Python 3.11, 64-bit Linux)
+BUILD_TERMS_PER_UNIT = 16
 
 
 def theta(r: int, p: int) -> int:
@@ -110,6 +114,22 @@ def build_recursive(m: int, p: int, cache: dict | None = None) -> SparseSupport:
         if k <= m:
             cache.setdefault(k, SparseSupport(p, k, supports[k]))
     return cache[m]
+
+
+def refuse_build(m: int, budget: int = DEFAULT_BUDGET) -> None:
+    """What a build of member m refuses before it starts: a support of more
+    than BUILD_TERMS_PER_UNIT terms per budget unit.  The support has
+    Fib(m) terms whatever p (support_size), so the count walks the
+    Fibonacci numbers and stops at the limit."""
+    limit = BUILD_TERMS_PER_UNIT * budget
+    terms, nxt = 0, 1
+    for _ in range(m):
+        terms, nxt = nxt, terms + nxt
+        if terms > limit:
+            raise BudgetExceeded(
+                f"family member {m} has more than {limit} support terms"
+                f" ({BUILD_TERMS_PER_UNIT} per unit of budget {budget})"
+            )
 
 
 def build_zigzag(m: int, p: int) -> SparseSupport:

@@ -5,12 +5,15 @@ the polynomial family.
 
 A plane is identified with the reduced row-echelon basis of its 2 x m
 coordinate matrix over F_p, which makes equality and hashing O(1).
-Orbit counting unions each plane with its image under one fixed
-multiplicative generator, which generates the whole dilation action.
+The orbit census never lists the planes: every dilation orbit meets the
+planes span{1, y} through the prime line, so union-find runs over those
+(q - p)/(p^2 - p) nodes, with p edges per node, and an orbit's plane
+count follows from its node count.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .dickson import nu_code, nu_point_code
@@ -165,14 +168,31 @@ class OrbitCensus:
 
 
 def orbit_count(p: int, m: int, budget: int = DEFAULT_BUDGET) -> OrbitCensus:
-    """Formula value and an independent union-find enumeration of the
-    dilation orbits (one generator step per plane suffices)."""
+    """Formula value and an independent union-find census of the dilation
+    orbits, run over the planes through the prime line.
+
+    Every orbit meets the nodes span{1, y}, y outside F_p; a node is
+    keyed by y with its constant coefficient cleared and its leading
+    coefficient made 1.  Nodes A and B share an orbit iff B = s^-1 A for
+    a nonzero s in A, and up to F_p-scaling s runs over y + a, a in F_p,
+    so each node has p edges.  Each node is s^-1 P for exactly q - 1
+    pairs (plane P, nonzero s in P), so an orbit with n nodes holds
+    n (q - 1) / (p^2 - 1) planes.
+    """
     check_field(p, m)
-    refuse_sweep(m, p**m, budget, "planes")  # before the field is built
+    q = p**m
+    refuse_sweep(m, q, budget, "planes")  # before the field is built
     field = make_field(p, m)
-    planes = enumerate_planes(field, budget)
-    index = {(pl.u, pl.v): i for i, pl in enumerate(planes)}
-    parent = list(range(len(planes)))
+    inv, mul = field.inv_code, field.mul_code
+    # node representatives: codes with constant digit 0 and leading digit 1
+    reps = [w * p for k in range(m - 1) for w in range(p**k, 2 * p**k)]
+    # node of every code outside F_p, looked up by code // p, which drops
+    # the constant digit
+    node = [0] * p ** (m - 1)
+    for i, y in enumerate(reps):
+        for c in range(1, p):
+            node[mul(c, y) // p] = i
+    parent = list(range(len(reps)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -180,28 +200,24 @@ def orbit_count(p: int, m: int, budget: int = DEFAULT_BUDGET) -> OrbitCensus:
             i = parent[i]
         return i
 
-    g = field.generator()
-    for i, pl in enumerate(planes):
-        gu = field.mul_code(g, pl.u)
-        gv = field.mul_code(g, pl.v)
-        img = canonical_plane(field, gu, gv)
-        j = index[(img.u, img.v)]
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    sizes: dict[int, int] = {}
-    for i in range(len(planes)):
-        r = find(i)
-        sizes[r] = sizes.get(r, 0) + 1
-    hist: dict[int, int] = {}
-    for s in sizes.values():
-        hist[s] = hist.get(s, 0) + 1
+    for i, y in enumerate(reps):
+        for a in range(p):
+            t = inv(y + a)  # y has constant digit 0, so y + a adds a to it
+            ri, rj = find(i), find(node[t // p])
+            if ri != rj:
+                parent[ri] = rj
+    nodes = Counter(find(i) for i in range(len(reps)))
+    # multiply first: (q - 1)/(p^2 - 1) is not an integer for odd m
+    hist = Counter(n * (q - 1) // (p * p - 1) for n in nodes.values())
+    total = sum(size * count for size, count in hist.items())
+    if total != plane_count_formula(p, m):
+        raise AssertionError("orbit sizes do not add up to the plane count")
     return OrbitCensus(
         p,
         m,
-        len(planes),
+        total,
         orbit_count_formula(p, m),
-        len(sizes),
+        len(nodes),
         tuple(sorted(hist.items())),
     )
 

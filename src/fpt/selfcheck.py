@@ -43,6 +43,7 @@ def _check_orbit_census(level: str) -> tuple[bool, str]:
         and census.enumerated_orbits == 31
         and census.formula_orbits == 31
         and dict(census.orbit_sizes) == {91: 1, 364: 30}
+        and len(planes.enumerate_planes(gf.make_field(3, 6))) == census.planes
     )
     return ok, f"planes={census.planes} orbits={census.enumerated_orbits}"
 

@@ -23,7 +23,6 @@ from .errors import (
     NoSuchOrder,
     OrderTooSmall,
     ZeroA,
-    ZeroResidue,
     ZeroZ,
 )
 from .gf import DEFAULT_BUDGET, frobenius_orbit_minpoly, make_field

@@ -130,6 +130,21 @@ def test_cache_dir(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_fmp_build_refused_on_support_size(tmp_path, capsys):
+    # Fib(37) terms exceed 16 per unit of the default budget; a cached copy
+    # on disk changes nothing, and nothing is written
+    cached = tmp_path / "fmp_3_37.json"
+    cached.write_text("{}")
+    for prefix in ((), ("--cache-dir", str(tmp_path))):
+        code, out, err = run_cli(capsys, *prefix, "fmp", "build", "--p", "3", "--m", "37")
+        assert code == 2 and out == ""
+        assert err.startswith("budget refused: family member 37")
+    assert list(tmp_path.iterdir()) == [cached]
+    # at budget 100 the line falls between Fib(17) = 1597 and Fib(18) = 2584 terms
+    assert run_cli(capsys, "--budget", "100", "fmp", "build", "--p", "3", "--m", "17")[0] == 0
+    assert run_cli(capsys, "--budget", "100", "fmp", "build", "--p", "3", "--m", "18")[0] == 2
+
+
 def test_env_budget(monkeypatch, capsys):
     monkeypatch.setenv("FPT_BUDGET", "100")
     code, _, _ = run_cli(capsys, "planes", "count", "--p", "3", "--m", "6")

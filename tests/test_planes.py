@@ -1,5 +1,8 @@
 """Plane enumeration, dilation orbits, invariant value sets, pencils."""
 
+import time
+from collections import Counter
+
 import pytest
 
 from fpt import fmp, gf
@@ -42,6 +45,56 @@ def test_enumerate_planes_counts():
         enumerate_planes(gf.make_field(3, 1))
     with pytest.raises(BudgetExceeded):
         enumerate_planes(gf.make_field(3, 6), budget=100)
+
+
+def _census_by_generator(p, m):
+    """Independent orbit census: enumerate every plane and union each
+    one with its image under a multiplicative generator, which alone
+    generates the dilation action.  Returns (planes, orbits, histogram
+    of orbit sizes)."""
+    F = gf.make_field(p, m)
+    planes = enumerate_planes(F)
+    index = {(pl.u, pl.v): i for i, pl in enumerate(planes)}
+    parent = list(range(len(planes)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    g = F.generator()
+    for i, pl in enumerate(planes):
+        img = canonical_plane(F, F.mul_code(g, pl.u), F.mul_code(g, pl.v))
+        ri, rj = find(i), find(index[(img.u, img.v)])
+        if ri != rj:
+            parent[ri] = rj
+    sizes = Counter(find(i) for i in range(len(planes)))
+    return len(planes), len(sizes), Counter(sizes.values())
+
+
+@pytest.mark.parametrize(
+    "p,m",
+    [(2, m) for m in range(2, 11)]
+    + [(3, m) for m in range(2, 7)]
+    + [(5, m) for m in range(2, 5)]
+    + [(7, 2), (7, 3)],
+)
+def test_orbit_count_matches_generator_oracle(p, m):
+    census = orbit_count(p, m)
+    planes, orbits, hist = _census_by_generator(p, m)
+    assert census.planes == planes
+    assert census.enumerated_orbits == orbits
+    assert dict(census.orbit_sizes) == hist
+
+
+@pytest.mark.parametrize("p,m", [(2, 12), (3, 8)])
+def test_orbit_count_at_scale(p, m):
+    start = time.perf_counter()
+    census = orbit_count(p, m)
+    assert time.perf_counter() - start < 10
+    assert census.planes == plane_count_formula(p, m)
+    assert census.enumerated_orbits == census.formula_orbits == orbit_count_formula(p, m)
 
 
 def test_orbit_count_small():
