@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import appearance, dickson, fmp, gf, morganvoyce, planes, trinomials, zigzag
 from .errors import BadParameter, BudgetExceeded, FptError
+from .numth import require_prime
 from .selfcheck import run_all
 
 _BIG = 1 << 53
@@ -89,6 +90,7 @@ def _field(args, refuse=None) -> gf.FieldDesc:
 
 
 def _cmd_fmp_build(args):
+    require_prime(args.p)
     fmp.refuse_build(args.m, args.budget)  # before the cache, so disk state cannot matter
     if args.cache_dir:
         path = Path(args.cache_dir) / f"fmp_{args.p}_{args.m}.json"
@@ -135,7 +137,7 @@ def _cmd_planes_count(args):
 
 def _cmd_planes_zvalues(args):
     field = _field(args, planes.refuse_sweep)
-    z, z_circ = planes.z_values(field, full_sweep=args.full_sweep, budget=args.budget)
+    z, z_circ = planes.z_values(field, budget=args.budget)
     return {
         "p": args.p,
         "m": args.m,
@@ -177,7 +179,7 @@ def _cmd_zigzag_rep(args):
 
 
 def _cmd_zigzag_enum(args):
-    seqs = zigzag.enum_zigzag(args.n, args.orientation, budget=40)
+    seqs = zigzag.enum_zigzag(args.n, args.orientation)
     return {
         "n": args.n,
         "orientation": args.orientation,
@@ -325,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_planes_count)
     sp = g.add_parser("zvalues")
     _add_common(sp, "p", "m")
-    sp.add_argument("--full-sweep", action="store_true")
     sp.set_defaults(func=_cmd_planes_zvalues)
     sp = g.add_parser("pencil")
     _add_common(sp, "p", "m")

@@ -18,7 +18,7 @@ class BudgetExceeded(FptError):
 # -- field construction and arithmetic ------------------------------------
 
 class CompositeModulusBase(FptError):
-    """The characteristic passed to make_field is not prime."""
+    """The characteristic is not prime."""
 
 
 class DegreeZero(FptError):

@@ -21,6 +21,7 @@ from .errors import (
     SupportCollision,
 )
 from .gf import DEFAULT_BUDGET, make_field
+from .numth import require_prime
 from .upoly import DensePoly, poly_gcd
 from .zigzag import enum_zigzag, value_base
 
@@ -41,6 +42,7 @@ def theta(r: int, p: int) -> int:
 def degree_formula(m: int, p: int) -> int:
     """Degree of the family member: (p^(m-1)-1)/(p^2-1) for odd m,
     (p^(m-1)-p)/(p^2-1) for even m."""
+    require_prime(p)
     if m < 2:
         return 0
     if m % 2 == 1:
@@ -90,6 +92,7 @@ class SparseSupport:
 def build_recursive(m: int, p: int, cache: dict | None = None) -> SparseSupport:
     """Support built by the three-term recursion; the shifted and
     unshifted halves are checked disjoint at every step."""
+    require_prime(p)
     if m < 0:
         raise NegativeIndex("family index must be >= 0")
     if cache is None:
@@ -135,6 +138,7 @@ def refuse_build(m: int, budget: int = DEFAULT_BUDGET) -> None:
 def build_zigzag(m: int, p: int) -> SparseSupport:
     """Support from down/up sequences of length m-2: the exponents are
     (-1)^(m-1) times their base-(-p) values, all non-negative."""
+    require_prime(p)
     if m < 2:
         raise NegativeIndex("zigzag construction needs m >= 2")
     sign = 1 if (m - 1) % 2 == 0 else -1
@@ -157,6 +161,7 @@ def support_size(m: int, p: int) -> int:
     exponent exceeds the lower member's degree (so the two halves are
     disjoint) and that the accumulated degree matches the closed form.
     """
+    require_prime(p)
     if m < 0:
         raise NegativeIndex("family index must be >= 0")
     counts = {0: 0, 1: 1, 2: 1}

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import CompositeModulusBase
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Witness set proven sufficient for n < 3.3e24.
@@ -39,6 +41,13 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def require_prime(p: int) -> None:
+    """Refuse a characteristic that is not prime.  Unlike
+    gf.check_field there is no 2^20 cap, for callers that build no field."""
+    if not is_prime(p):
+        raise CompositeModulusBase(f"{p} is not a prime")
 
 
 def primes_upto(n: int) -> list[int]:

@@ -5,10 +5,10 @@ the polynomial family.
 
 A plane is identified with the reduced row-echelon basis of its 2 x m
 coordinate matrix over F_p, which makes equality and hashing O(1).
-The orbit census never lists the planes: every dilation orbit meets the
-planes span{1, y} through the prime line, so union-find runs over those
-(q - p)/(p^2 - p) nodes, with p edges per node, and an orbit's plane
-count follows from its node count.
+Every dilation orbit meets the planes span{1, y} through the prime line,
+and the invariant takes one value per plane, so the orbit census, the
+value sets and the pencils all walk those (q - p)/(p^2 - p) planes, one
+y each (prime_line_reps), and never list the others.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ class Plane:
     v: int
 
     def contains_prime_field(self) -> bool:
-        # F_p = span{1}; membership is solvable since the basis is echelon
-        return _membership(self.field, self, 1)
+        # F_p = span{1}; in reduced echelon form 1 lies in the plane
+        # exactly when it is the first row
+        return self.u == 1
 
     def points(self) -> list[int]:
         """All p^2 element codes of the plane."""
@@ -62,15 +63,6 @@ class Plane:
 
     def to_json(self) -> list[list[int]]:
         return [self.field.to_coeffs(self.u), self.field.to_coeffs(self.v)]
-
-
-def _membership(field: FieldDesc, plane: Plane, x: int) -> bool:
-    for a in range(field.p):
-        au = field.mul_code(a, plane.u)
-        for b in range(field.p):
-            if field.add_code(au, field.mul_code(b, plane.v)) == x:
-                return True
-    return False
 
 
 def canonical_plane(field: FieldDesc, x: int, y: int) -> Plane:
@@ -131,8 +123,7 @@ def enumerate_planes(field: FieldDesc, budget: int = DEFAULT_BUDGET) -> list[Pla
                         r2[i] = rem % p
                         rem //= p
                     out.append(Plane(field, u, field.from_coeffs(r2)))
-    expected = (field.q - 1) * (field.q - p) // ((p * p - 1) * (p * p - p))
-    if len(out) != expected:
+    if len(out) != plane_count_formula(p, m):
         raise AssertionError("echelon enumeration missed planes")
     return out
 
@@ -147,6 +138,12 @@ def orbit_count_formula(p: int, m: int) -> int:
     if m % 2 == 1:
         return (p ** (m - 1) - 1) // (p * p - 1)
     return 1 + (p ** (m - 1) - p) // (p * p - 1)
+
+
+def prime_line_reps(p: int, m: int) -> list[int]:
+    """One y per plane span{1, y} through the prime line, ascending: the
+    codes with constant digit 0 and leading digit 1."""
+    return [w * p for k in range(m - 1) for w in range(p**k, 2 * p**k)]
 
 
 @dataclass(frozen=True)
@@ -171,10 +168,9 @@ def orbit_count(p: int, m: int, budget: int = DEFAULT_BUDGET) -> OrbitCensus:
     """Formula value and an independent union-find census of the dilation
     orbits, run over the planes through the prime line.
 
-    Every orbit meets the nodes span{1, y}, y outside F_p; a node is
-    keyed by y with its constant coefficient cleared and its leading
-    coefficient made 1.  Nodes A and B share an orbit iff B = s^-1 A for
-    a nonzero s in A, and up to F_p-scaling s runs over y + a, a in F_p,
+    Every orbit meets the nodes span{1, y}, one per prime_line_reps
+    code y.  Nodes A and B share an orbit iff B = s^-1 A for a nonzero
+    s in A, and up to F_p-scaling s runs over y + a, a in F_p,
     so each node has p edges.  Each node is s^-1 P for exactly q - 1
     pairs (plane P, nonzero s in P), so an orbit with n nodes holds
     n (q - 1) / (p^2 - 1) planes.
@@ -184,8 +180,7 @@ def orbit_count(p: int, m: int, budget: int = DEFAULT_BUDGET) -> OrbitCensus:
     refuse_sweep(m, q, budget, "planes")  # before the field is built
     field = make_field(p, m)
     inv, mul = field.inv_code, field.mul_code
-    # node representatives: codes with constant digit 0 and leading digit 1
-    reps = [w * p for k in range(m - 1) for w in range(p**k, 2 * p**k)]
+    reps = prime_line_reps(p, m)
     # node of every code outside F_p, looked up by code // p, which drops
     # the constant digit
     node = [0] * p ** (m - 1)
@@ -235,25 +230,16 @@ def refuse_sweep(
 
 
 def z_values(
-    field: FieldDesc, full_sweep: bool = False, budget: int = DEFAULT_BUDGET
+    field: FieldDesc, budget: int = DEFAULT_BUDGET
 ) -> tuple[frozenset[int], frozenset[int]]:
     """(Z, Z_circ): the invariant's value set over all planes, and the
     same set without 0.
 
-    The default route evaluates nu(x, 1) over x outside the prime field
-    (every dilation orbit contains a plane through the prime-field
-    line); full_sweep enumerates all planes instead and must agree.
+    Every dilation orbit holds a plane span{1, y}, so nu(y, 1) over the
+    prime-line planes takes every value.
     """
     refuse_sweep(field.m, field.q, budget)
-    if full_sweep:
-        vals = {pl.nu_value() for pl in enumerate_planes(field, budget)}
-    else:
-        frob = field.frob_code
-        vals = set()
-        for x in field.codes():
-            if frob(x, 1) == x:
-                continue
-            vals.add(nu_point_code(field, x))
+    vals = {nu_point_code(field, y) for y in prime_line_reps(field.p, field.m)}
     z = frozenset(vals)
     z_circ = frozenset(v for v in vals if v)
     if len(z_circ) != degree_formula(field.m, field.p):
@@ -290,23 +276,15 @@ def pencil(z: int, field: FieldDesc, budget: int = DEFAULT_BUDGET) -> Pencil:
             raise WrongField("value 0 needs the quadratic subfield, so an even degree")
     elif eval_fp(m, p, z) != 0:
         raise WrongField(f"value {z} does not occur among planes of this field")
-    frob = field.frob_code
-    seen: dict[tuple[int, int], Plane] = {}
-    hits = 0
-    for x in field.codes():
-        if frob(x, 1) == x:
-            continue
-        if nu_point_code(field, x) == z:
-            hits += 1
-            pl = canonical_plane(field, x, 1)
-            seen[(pl.u, pl.v)] = pl
-    expected_planes = 1 if z == 0 else p + 1
-    expected_points = p * p - p if z == 0 else p**3 - p
-    if len(seen) != expected_planes or hits != expected_points:
-        raise AssertionError(
-            f"pencil census wrong: {len(seen)} planes / {hits} points"
-        )
-    ordered = tuple(sorted(seen.values(), key=lambda pl: (pl.u, pl.v)))
+    # distinct codes y name distinct planes span{1, y}
+    found = [
+        canonical_plane(field, y, 1)
+        for y in prime_line_reps(p, m)
+        if nu_point_code(field, y) == z
+    ]
+    if len(found) != (1 if z == 0 else p + 1):
+        raise AssertionError(f"pencil census wrong: {len(found)} planes")
+    ordered = tuple(sorted(found, key=lambda pl: (pl.u, pl.v)))
     return Pencil(field, z, ordered)
 
 

@@ -87,13 +87,13 @@ def is_zigzag(bits: Iterable[int], orientation: str = DOWN_UP) -> bool:
     return _chain_ok(_check_bits(bits), orientation)
 
 
-def enum_zigzag(n: int, orientation: str = DOWN_UP, budget: int = _ENUM_LIMIT) -> list[ZigzagSeq]:
+def enum_zigzag(n: int, orientation: str = DOWN_UP) -> list[ZigzagSeq]:
     """All zigzag sequences of length n (there are Fib(n+2) of them).
 
     Down/up sequences are generated by the parity recursion that appends
     on the low end; up/down sequences are the bitwise complements.
     """
-    if n > min(budget, _ENUM_LIMIT):
+    if n > _ENUM_LIMIT:
         raise BudgetExceeded(f"length {n} exceeds enumeration budget")
     du = _enum_du(n)
     if orientation == DOWN_UP:

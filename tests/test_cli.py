@@ -145,6 +145,24 @@ def test_fmp_build_refused_on_support_size(tmp_path, capsys):
     assert run_cli(capsys, "--budget", "100", "fmp", "build", "--p", "3", "--m", "18")[0] == 2
 
 
+@pytest.mark.parametrize("p", ["-3", "1", "4"])
+def test_fmp_build_refuses_a_characteristic_that_is_not_prime(tmp_path, capsys, p):
+    # refused before the support-size charge and before a cached copy is read
+    (tmp_path / f"fmp_{p}_12.json").write_text("{}")
+    for prefix in ((), ("--cache-dir", str(tmp_path))):
+        for m in ("12", "37"):
+            code, out, err = run_cli(capsys, *prefix, "fmp", "build", "--p", p, "--m", m)
+            assert (code, out, err) == (1, "", f"error: {p} is not a prime\n")
+
+
+def test_zvalues_full_sweep_flag_is_gone(capsys):
+    code, out, err = run_cli(capsys, "planes", "zvalues", "--p", "3", "--m", "5", "--full-sweep")
+    assert code == 1 and out == ""
+    assert [l for l in err.splitlines() if l.startswith("error:")] == [
+        "error: unrecognized arguments: --full-sweep"
+    ]
+
+
 def test_env_budget(monkeypatch, capsys):
     monkeypatch.setenv("FPT_BUDGET", "100")
     code, _, _ = run_cli(capsys, "planes", "count", "--p", "3", "--m", "6")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fpt.errors import NotPrimeFieldElement
+from fpt.errors import CompositeModulusBase, NotPrimeFieldElement
 from fpt.fmp import (
     build_recursive,
     build_zigzag,
@@ -186,3 +186,15 @@ def test_member_7_display_at_p3():
         p2 + 1, p2, p2 - p + 1, 1, 0,
     }
     assert build_recursive(7, p).support == expected
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 9])
+def test_family_refuses_a_characteristic_that_is_not_prime(p):
+    for build in (build_recursive, build_zigzag, support_size, degree_formula):
+        with pytest.raises(CompositeModulusBase):
+            build(12, p)
+
+
+def test_family_answers_primes_above_two_to_the_twenty():
+    p = 1048583
+    assert support_size(8, p) == len(build_recursive(8, p).support) == fib(8)

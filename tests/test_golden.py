@@ -53,6 +53,16 @@ CLI_GOLDEN = {
     'trinomial verify --p 103 --a 1 --b 1': (0, 112, '5e4e308c8f303814ce393162463d72127f95313fa62982cd449f7c048c3da375'),
     'planes count --p 2 --m 6': (0, 78, '2b3b9c94af1f820dacbc1b67a4f9aff101859ee427aa0e900b254b2757b27edc'),
     'alpha table --p 2': (0, 36, '6843feecf734350c2799f0d304836d5f3a2f8d1b0ed27ce02adc699a92faedfa'),
+    'planes zvalues --p 2 --m 8': (0, 1572, '4a8a2c6c8ca564a98e29a0c2232e71975a2a6e0dedf169b45bcb44f28ff28c11'),
+    'planes zvalues --p 3 --m 7': (0, 2954, '6facb45be76eee07e10434c258c50802c827a7c9c8be9408a969e11010cd292e'),
+    'planes zvalues --p 11 --m 4': (0, 281, '22a4db421b76e8493b1dceaa3ca18d19f4c05041881acd78e67e3f51c06aae02'),
+    'planes pencil --p 3 --m 6 --z 0': (0, 49, '5de0622b99556903857b3b973d2d0815fbfcd97e5a1e82b27c7083b26e93440f'),
+    'planes pencil --p 13 --m 3 --z 12': (0, 275, '6dc76c823edbddeaa99706dd900dd32f35ddfd39eb7bfb4d2698c85f63e7bf06'),
+    # F_{2^8} has no valid nonzero z (eval_fp(8, 2, 1) != 0): its z = 0
+    # pencil, its refusal of z = 1, and the z = 1 pencil of F_{2^9}
+    'planes pencil --p 2 --m 8 --z 0': (0, 57, '3738a30d864b68aa8e11b98a25cf5cd857b7c9485398e3bd66786af1bd13da98'),
+    'planes pencil --p 2 --m 8 --z 1': (1, 0, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'planes pencil --p 2 --m 9 --z 1': (0, 145, '6f8810b68ebddb559e3a582960da733aaba2f71893dd238e0e6eebb0544477c3'),
 }
 # (p, m) -> the modulus make_field picks, constant term first
 MODULI = {

@@ -1,5 +1,8 @@
 """Integer helper sanity checks."""
 
+import pytest
+
+from fpt.errors import CompositeModulusBase
 from fpt.numth import (
     divisors_sorted,
     factorize,
@@ -8,6 +11,7 @@ from fpt.numth import (
     is_prime,
     legendre,
     primes_upto,
+    require_prime,
     sqrt_mod_p,
 )
 
@@ -16,6 +20,14 @@ def test_is_prime_small():
     assert [n for n in range(30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 + 1)
+
+
+def test_require_prime_has_no_size_cap():
+    for p in (2, 1048583, 2**31 - 1):
+        require_prime(p)
+    for n in (-3, 0, 1, 4, 2**32 + 1):
+        with pytest.raises(CompositeModulusBase):
+            require_prime(n)
 
 
 def test_primes_upto():

@@ -157,14 +157,50 @@ def test_z_values_examples():
     F = gf.make_field(3, 5)
     _, z_circ = z_values(F)
     assert len(z_circ) == 10
-    _, z_circ2 = z_values(F, full_sweep=True)
-    assert z_circ == z_circ2
+
+
+# fields for the differential tests; the pencil test tries every z in F_p
+# there, valid or not (F_{2^5} has no valid z, F_{2^8} only z = 0)
+_PENCIL_FIELDS = (
+    [(2, m) for m in range(4, 9)]
+    + [(3, m) for m in range(4, 7)]
+    + [(5, 3), (5, 4), (7, 3)]
+)
 
 
 def test_z_values_full_sweep_agrees():
-    for (p, m) in [(2, 4), (2, 6), (3, 4), (5, 3)]:
+    # the prime-line walk against the invariant swept over every plane
+    for (p, m) in _PENCIL_FIELDS + [(2, 2), (3, 2), (2, 9)]:
         F = gf.make_field(p, m)
-        assert z_values(F) == z_values(F, full_sweep=True)
+        vals = frozenset(pl.nu_value() for pl in enumerate_planes(F))
+        assert z_values(F) == (vals, vals - {0})
+
+
+@pytest.mark.parametrize("p,m", _PENCIL_FIELDS)
+def test_pencil_matches_every_plane_route(p, m):
+    # every plane through the prime line, found by its points, grouped by
+    # invariant value: the same planes in the same order as pencil(z)
+    F = gf.make_field(p, m)
+    by_value: dict[int, list] = {}
+    for pl in enumerate_planes(F):
+        if 1 in pl.points():
+            by_value.setdefault(pl.nu_value(), []).append(pl)
+    valid = [z for z in range(p) if z in by_value]
+    assert valid == [
+        z for z in range(p) if (z == 0 and m % 2 == 0) or (z and fmp.eval_fp(m, p, z) == 0)
+    ]
+    for z in valid:
+        expected = sorted(by_value[z], key=lambda pl: (pl.u, pl.v))
+        assert list(pencil(z, F).planes) == expected
+    for z in set(range(p)) - set(valid):
+        with pytest.raises(WrongField):
+            pencil(z, F)
+
+
+def test_contains_prime_field_matches_points():
+    for (p, m) in [(2, 5), (3, 4), (5, 3)]:
+        for pl in enumerate_planes(gf.make_field(p, m)):
+            assert pl.contains_prime_field() == (1 in pl.points())
 
 
 def test_invariant_fibers_over_pencil_planes():
