@@ -3,7 +3,9 @@
 Plane-orbit enumeration, the associated 0/1-coefficient polynomial
 family, zigzag numeration, orders of appearance, Morgan-Voyce
 polynomials and trinomial factorization degrees.  Everything is exact;
-nothing here uses floating point except the one reported density.
+floating point appears only in the one reported density and in the
+float64 products of small integers, exact by size, that build large
+field tables.
 """
 
 from .errors import BudgetExceeded, FptError

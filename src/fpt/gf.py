@@ -14,7 +14,10 @@ Internally every element is an integer code sum(c_i * p^i) with all
 c_i in [0, p).  Fields with at most TABLE_LIMIT elements and m >= 2 get
 discrete exp/log tables at construction time, making multiplication,
 inversion and exponentiation O(1); prime fields use direct modular
-arithmetic.  A FieldDesc is immutable once make_field returns it.
+arithmetic.  Tables of fields with at least _NP_TABLE_MIN_Q elements are
+built with numpy, which is imported only then; smaller ones by a
+per-element loop in plain Python.  A FieldDesc is immutable once
+make_field returns it.
 """
 
 from __future__ import annotations
@@ -34,6 +37,12 @@ from .numth import factorize, is_prime
 DEFAULT_BUDGET = 1 << 20
 TABLE_LIMIT = 1 << 20
 P_LIMIT = 1 << 20
+# fields of at least this order build their tables with numpy.  Measured in
+# fresh processes, a cold numpy import plus the blocked build beats the
+# per-element loop from about q = 20,000 at m >= 3, 35,000 at m = 2 and
+# 2^16 at p = 2; over 21 fields of 8,192 to 65,536 elements, a threshold
+# between 19,321 and 19,683 costs least in sum and at worst (BENCH_9.json)
+_NP_TABLE_MIN_Q = 19_500
 
 
 class FieldDesc:
@@ -50,19 +59,24 @@ class FieldDesc:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         if m >= 2 and self.q <= TABLE_LIMIT:
-            self._build_tables()
+            if self.q >= _NP_TABLE_MIN_Q:
+                self._build_tables_np()
+            else:
+                self._build_tables()
 
     # -- construction helpers -------------------------------------------
 
+    def _mul_g_columns(self, g: int) -> list[int]:
+        """Codes of g * X^i mod modulus for i < m: the rows of the matrix
+        of multiplication by g, acting on coefficient row vectors."""
+        cols = [g]
+        for _ in range(self.m - 1):
+            cols.append(self._polymul_code(cols[-1], self.p))  # times X, code p
+        return cols
+
     def _build_tables(self) -> None:
         p, m, q = self.p, self.m, self.q
-        g = self.generator()
-        # columns of the multiply-by-g map: g * X^i mod modulus
-        xcols = []
-        col = g
-        for _ in range(m):
-            xcols.append(col)
-            col = self._polymul_code(col, self.p)  # times X, whose code is p
+        xcols = self._mul_g_columns(self.generator())
         exp = [0] * (q - 1)
         log = [-1] * q
         if p == 2:
@@ -98,6 +112,49 @@ class FieldDesc:
             raise AssertionError("generator stepping did not cover the group")
         self._exp = exp
         self._log = log
+
+    def _build_tables_np(self) -> None:
+        """The same tables as _build_tables, by baby steps and giant steps:
+        rows g^0 .. g^(s-1) by doubling, then each further block of s
+        powers is the previous block times the matrix of g^s.
+
+        All arithmetic is float64 on integers and exact: a product entry
+        sums m terms below p^2, and m (p - 1)^2 < 2^21 whenever
+        p^m <= TABLE_LIMIT = 2^20 and m >= 2, far below 2^53.  For such
+        an x, x / p < 2^20 is rounded by less than 2^-32, and its
+        fractional part is 0 or at least 1/p >= 2^-10, so floor(x / p) is
+        exact (and much cheaper than numpy's float remainder)."""
+        import numpy as np
+
+        p, m, q = self.p, self.m, self.q
+        n = q - 1
+
+        def times(a, b):
+            x = a @ b
+            return x - p * np.floor(x / p)
+
+        rows = self._mul_g_columns(self.generator())
+        mat = np.array([self.to_coeffs(c) for c in rows], dtype=np.float64)
+        block = np.zeros((1, m))
+        block[0, 0] = 1.0
+        # baby steps: block holds g^0 .. g^(s-1) and mat is g^s's matrix,
+        # for s the least power of two with s^2 >= n
+        while block.shape[0] ** 2 < n:
+            block = np.vstack((block, times(block, mat)))
+            mat = times(mat, mat)
+        s = block.shape[0]
+        weights = np.array([float(p) ** i for i in range(m)])
+        exp = np.empty(-(-n // s) * s, dtype=np.int64)
+        for start in range(0, n, s):
+            exp[start : start + s] = block @ weights
+            block = times(block, mat)
+        exp = exp[:n]
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp] = np.arange(n)
+        if np.count_nonzero(log == -1) != 1:
+            raise AssertionError("generator stepping did not cover the group")
+        self._exp = exp.tolist()
+        self._log = log.tolist()
 
     def _polymul_code(self, a: int, b: int) -> int:
         # table-free multiplication used during bootstrap and for big fields
@@ -282,12 +339,14 @@ def check_budget(q: int, budget: int) -> None:
         raise BudgetExceeded(f"field order {q} exceeds budget {budget}")
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)
 def make_field(p: int, m: int) -> FieldDesc:
     """Build (and cache) the deterministic descriptor of F_{p^m}.
 
     The modulus is the first monic irreducible of degree m in ascending
-    integer-encoding order; repeated calls return the identical object.
+    integer-encoding order; repeated calls return the identical object
+    while it stays among the 64 fields last used.  The cache is bounded
+    because each field up to TABLE_LIMIT can hold two q-entry tables.
     """
     check_field(p, m)
     if m == 1:

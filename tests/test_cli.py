@@ -258,21 +258,38 @@ def test_budget_refused_before_the_field_is_built(capsys, command):
 
 
 def test_cheap_commands_never_import_numpy():
-    # numpy is loaded on first entry to one of upoly's large-polynomial routes
+    # numpy is loaded on first entry to one of upoly's large-polynomial
+    # routes, or to gf's table build for a field of gf._NP_TABLE_MIN_Q
+    # elements or more; the cheap commands include the pencil over F_{7^4},
+    # the largest table the cold-CLI benchmark builds
     script = """if True:
-        import contextlib, io, sys
+        import contextlib, io, json, sys
         import fpt, fpt.cli
         assert "numpy" not in sys.modules
-        def run(*argv):
+        def run(argv):
             with contextlib.redirect_stdout(io.StringIO()):
-                assert fpt.cli.main(list(argv)) == 0
+                assert fpt.cli.main(argv) == 0
             return "numpy" in sys.modules
-        assert not run("zigzag", "zeck", "64")
-        assert not run("alpha", "table", "--p", "19")
-        assert not run("planes", "count", "--p", "3", "--m", "4")
-        assert run("trinomial", "verify", "--p", "19", "--a", "1", "--b", "4")
+        *cheap, costly = json.loads(sys.argv[1])
+        for argv in cheap:
+            assert not run(argv), argv
+        assert run(costly), costly
     """
+    cheap = [
+        ["zigzag", "zeck", "64"],
+        ["alpha", "table", "--p", "19"],
+        ["planes", "count", "--p", "3", "--m", "4"],
+        ["planes", "pencil", "--p", "7", "--m", "4", "--z", "0"],
+        ["verify", "appendix", "--p", "2", "--m", "8"],
+    ]
+    costly = [
+        ["trinomial", "verify", "--p", "19", "--a", "1", "--b", "4"],  # upoly
+        ["planes", "zvalues", "--p", "3", "--m", "10"],  # a 3^10-entry table
+    ]
+    assert 3**10 >= gf._NP_TABLE_MIN_Q > 7**4
     src = str(Path(fpt.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    for argv in costly:
+        script_argv = [sys.executable, "-c", script, json.dumps(cheap + [argv])]
+        proc = subprocess.run(script_argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -45,6 +45,19 @@ def test_make_field_is_cached():
     assert gf.make_field(3, 2) is gf.make_field(3, 2)
 
 
+def test_evicted_field_comes_back_equal():
+    # the cache keeps the 64 fields last used: 65 builds of other fields
+    # (the prime fields from 5 up) evict F_81
+    gf.make_field.cache_clear()
+    first = gf.make_field(3, 4)
+    for p in primes_upto(400)[2:67]:
+        gf.make_field(p, 1)
+    again = gf.make_field(3, 4)
+    assert again is not first
+    assert again == first
+    assert (again._exp, again._log) == (first._exp, first._log)
+
+
 def test_prime_field_arithmetic():
     F = gf.make_field(19, 1)
     assert F.mul_code(2, 10) == 1  # the inverse pair (2, 10)
@@ -224,6 +237,50 @@ def test_table_and_table_free_arithmetic_agree(pm, a, b, e):
     assert F.inv_code(a) == G.inv_code(a)
     assert F.pow_code(a, e) == G.pow_code(a, e)
     assert F.order_code(a) == G.order_code(a)
+
+
+NP_TABLE_FIELDS = [(2, 5), (2, 14), (3, 7), (3, 9), (5, 6), (7, 4), (13, 3), (251, 2)]
+
+
+def tables_by_route(p, m, modulus, numpy_route):
+    threshold = 0 if numpy_route else gf.TABLE_LIMIT + 1
+    with mock.patch.object(gf, "_NP_TABLE_MIN_Q", threshold):
+        return gf.FieldDesc(p, m, modulus)
+
+
+@pytest.mark.parametrize("pm", NP_TABLE_FIELDS)
+def test_numpy_and_loop_tables_agree(pm):
+    p, m = pm
+    F = gf.make_field(p, m)
+    A = tables_by_route(p, m, F.modulus, numpy_route=True)
+    B = tables_by_route(p, m, F.modulus, numpy_route=False)
+    assert A._exp == B._exp
+    assert A._log == B._log
+    assert {type(c) for c in A._exp + A._log} == {int}
+
+
+def test_numpy_tables_cover_a_partial_last_block():
+    # the numpy build steps in blocks of s powers, s the least power of
+    # two with s^2 >= q - 1; the fields above include both sides of the
+    # threshold and a q - 1 that s does not divide
+    qs = [p**m for p, m in NP_TABLE_FIELDS]
+    assert min(qs) < gf._NP_TABLE_MIN_Q <= max(qs)
+    assert {p for p, _ in NP_TABLE_FIELDS} > {2}
+    block = {q: next(1 << k for k in range(q.bit_length()) if (1 << k) ** 2 >= q - 1) for q in qs}
+    assert any((q - 1) % s for q, s in block.items() if q % 2)
+
+
+@pytest.mark.parametrize("pm", [(2, 14), (3, 7)])
+@pytest.mark.parametrize("numpy_route", [True, False])
+def test_tables_refuse_a_generator_of_smaller_order(pm, numpy_route):
+    # q - 1 = 3 * 43 * 127 and 2 * 1093: the square or cube of a generator
+    # has smaller order, and stepping by it cannot cover the group
+    p, m = pm
+    F = gf.make_field(p, m)
+    g = F.pow_code(F.generator(), 3 if p == 2 else 2)
+    with mock.patch.object(gf.FieldDesc, "generator", lambda self: g):
+        with pytest.raises(AssertionError, match="did not cover the group"):
+            tables_by_route(p, m, F.modulus, numpy_route)
 
 
 def test_binomial_skip_rule_is_exact():
