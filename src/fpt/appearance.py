@@ -6,23 +6,25 @@ alpha(z, p) is the least m with family_m(z) = 0; alpha(1, p) recovers
 the classical entry point of p in the Fibonacci sequence.  For nonzero
 z it always divides p - chi, where chi is +1 / -1 / 0 according to
 whether the quadratic X^2 + (z+2)X + 1 has two roots, none, or a double
-root in F_p, so the scan below index p+2 always terminates.  Outside
-z in {0, -4} it is also the multiplicative order of X modulo that
-quadratic (alpha_via_multiplicative_order), the independent route the
-trinomial degree prediction uses.
+root in F_p, so the scan below index p+2 always terminates.  It is
+also the multiplicative order of X modulo that quadratic
+(alpha_via_multiplicative_order), the independent route the trinomial
+degree prediction, the splitting fields and every entry point use: one
+call of numth.order_dividing each.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import ExcludedZ, PIsFive, ZeroArgument
+from .errors import PIsFive, ZeroArgument
 from .fmp import eval_fp_sequence
 from .numth import (
-    divisors_sorted,
     factorize,
     fib_pair,
     legendre,
+    order_dividing,
     primes_upto,
 )
 
@@ -77,16 +79,18 @@ def alpha_via_multiplicative_order(z: int, p: int) -> int:
     A = F_p[X]/(X^2 + (z+2)X + 1), that is, of a root r of the quadratic.
 
     With a nonzero square discriminant A is F_p x F_p (X maps to (r, 1/r),
-    and r and 1/r share one order); otherwise A is F_{p^2}, where
-    r^(p+1) is the constant term 1.  Either way the order divides
-    p - chi, so it is found by stripping prime factors of p - chi, with
-    elements of A kept as pairs (u0, u1) = u0 + u1 X of plain residues.
-    No square root is taken and p = 2 is not special.  Excludes z in
-    {0, -4}, where r would be +-1.
+    and r and 1/r share one order); with a non-square one A is F_{p^2},
+    where r^(p+1) is the constant term 1; at z = -4 the quadratic is
+    (X - 1)^2 and X = 1 + eps with eps^2 = 0 has order p.  In every case
+    the order divides p - chi, so numth.order_dividing strips prime
+    factors of p - chi, with elements of A kept as pairs
+    (u0, u1) = u0 + u1 X of plain residues.  No square root is taken and
+    neither p = 2 nor z = -4 is special.  z = 0 (r = -1, where the family
+    never vanishes) is refused as in alpha_zp.
     """
     z %= p
-    if z == 0 or (z + 4) % p == 0:
-        raise ExcludedZ("the multiplicative-order route needs z outside {0, -4}")
+    if z == 0:
+        raise ZeroArgument("alpha(0, p) is undefined")
     c = (z + 2) % p
 
     def power(e: int) -> tuple[int, int]:
@@ -101,13 +105,7 @@ def alpha_via_multiplicative_order(z: int, p: int) -> int:
             e >>= 1
         return r0, r1
 
-    n = p - discriminant_class(z, p)
-    for f, e in factorize(n).items():
-        for _ in range(e):
-            if power(n // f) != (1, 0):
-                break
-            n //= f
-    return n
+    return order_dividing(alpha_divisor_bound(z, p), lambda e: power(e) == (1, 0))
 
 
 def alpha_classical(n: int) -> int:
@@ -125,51 +123,31 @@ def alpha_classical(n: int) -> int:
 
 
 def alpha_prime(p: int) -> int:
-    """Entry point of a prime, via the divisor bound: alpha(p) divides
-    p - (5|p) for p != 2, 5, so only divisors need testing."""
-    if p == 2:
-        return 3
-    if p == 5:
-        return 5
-    for d in divisors_sorted(p - legendre(5, p)):
-        if d >= 2 and fib_pair(d, p)[0] == 0:
-            return d
-    raise AssertionError(f"divisor scan failed for p={p}")
-
-
-def alpha_of_prime_power(p: int, e: int) -> int:
-    """Entry point of p^e: the least multiple of the entry point of
-    p^(e-1) that works, found by direct testing."""
-    a = alpha_prime(p)
-    mod = p
-    for _ in range(e - 1):
-        mod *= p
-        k = a
-        while fib_pair(k, mod)[0] != 0:
-            k += a
-        a = k
-    return a
+    """Entry point of a prime p: alpha(1, p), the order of a root -phi^2
+    of X^2 + 3X + 1, since Fib(k) = 0 mod p exactly when
+    phi^k = (-1/phi)^k.  p = 2 (no root in F_2) and p = 5 (the double
+    root 1) need no special case."""
+    return alpha_via_multiplicative_order(1, p)
 
 
 def alpha_any(n: int) -> int:
-    """Entry point of any n >= 2 as the lcm over prime powers."""
-    import math
-
-    out = 1
+    """Entry point of any n >= 2.  n divides Fib(k) exactly when alpha(n)
+    divides k, and alpha(p^e) divides alpha(p) p^(e-1) (Wall, Amer. Math.
+    Monthly 67, 1960), so the lcm of those over p^e || n is a multiple of
+    alpha(n) to strip."""
+    bound = 1
     for p, e in factorize(n).items():
-        out = math.lcm(out, alpha_of_prime_power(p, e))
-    return out
+        bound = math.lcm(bound, alpha_prime(p) * p ** (e - 1))
+    return order_dividing(bound, lambda k: fib_pair(k, n)[0] == 0)
 
 
 def check_divisibility_law(p: int) -> bool:
     """The paper's divisibility law at z = 1: the Fibonacci entry point
-    alpha(p) divides p - (5|p), since X^2 + 3X + 1 has discriminant 5;
-    p = 5 is excluded."""
+    alpha(p) divides p - chi, which is p - (5|p) for odd p since
+    X^2 + 3X + 1 has discriminant 5; p = 5 is excluded."""
     if p == 5:
         raise PIsFive("the law excludes p = 5")
-    if p == 2:
-        return alpha_classical(2) in (1, 3)  # 3 divides 2 - (-1)
-    return (p - legendre(5, p)) % alpha_classical(p) == 0
+    return alpha_divisor_bound(1, p) % alpha_classical(p) == 0
 
 
 def wall_check(n: int, limit: int) -> bool:

@@ -21,6 +21,10 @@ class CompositeModulusBase(FptError):
     """The characteristic is not prime."""
 
 
+class PrimalityUnproven(FptError):
+    """A number passed the primality test above the bound where it is exact."""
+
+
 class DegreeZero(FptError):
     """Extension degree below 1."""
 
@@ -119,10 +123,6 @@ class ZeroArgument(FptError):
 
 class PIsFive(FptError):
     """The Legendre-symbol divisibility law excludes p = 5."""
-
-
-class ExcludedZ(FptError):
-    """The multiplicative-order route excludes z in {0, -4}."""
 
 
 # -- trinomials ---------------------------------------------------------------

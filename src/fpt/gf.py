@@ -32,7 +32,7 @@ from .errors import (
     DivisionByZero,
     ZeroElement,
 )
-from .numth import factorize, is_prime
+from .numth import factorize, is_prime, order_dividing
 
 DEFAULT_BUDGET = 1 << 20
 TABLE_LIMIT = 1 << 20
@@ -283,14 +283,7 @@ class FieldDesc:
     def order_code(self, a: int) -> int:
         if a == 0:
             raise ZeroElement("multiplicative order of zero")
-        n = self.q - 1
-        for f, e in factorize(n).items():
-            for _ in range(e):
-                if self.pow_code(a, n // f) == 1:
-                    n //= f
-                else:
-                    break
-        return n
+        return order_dividing(self.q - 1, lambda e: self.pow_code(a, e) == 1)
 
     def generator(self) -> int:
         """The smallest code >= 2 of multiplicative order q - 1; before the

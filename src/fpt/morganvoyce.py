@@ -90,14 +90,9 @@ def lehmer_U(n: int, Z: int) -> int:
     return next(islice(_lehmer_terms(Z), n, None))
 
 
-def mv_value(n: int, Z: int) -> int:
-    """The integer Morgan-Voyce value MV_n(Z) = U_n(sqrt(Z), -1)."""
-    return lehmer_U(n, Z)
-
-
 def mv_apparition(z: int, p: int, Z: int) -> int:
-    """Least m >= 2 with p dividing MV_m(Z), for an integer lift Z of the
-    nonzero residue z; computed on exact integer values."""
+    """Least m >= 2 with p dividing lehmer_U(m, Z), for an integer lift Z
+    of the nonzero residue z; computed on exact integer values."""
     z %= p
     if z == 0:
         raise ZeroResidue("apparition needs a nonzero residue")

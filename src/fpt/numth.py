@@ -1,25 +1,31 @@
 """Elementary integer number theory helpers: primality, factoring,
-Legendre symbols, modular square roots, Fibonacci numbers.
+multiplicative orders, Legendre symbols, modular square roots,
+Fibonacci numbers.
 
-Everything here is exact and deterministic.  Factoring is trial division
-backed by Pollard rho, which is ample at the 64-bit scale this library
-targets.
+Everything here is exact and deterministic.  Primality is the strong
+Miller-Rabin test to the prime bases 2..41, which no composite below
+psi_13 ~ 3.3e24 passes (Jaeschke, Math. Comp. 61, 1993); a number at or
+above psi_13 that passes is refused rather than called prime.  Factoring
+is trial division backed by Pollard rho, which is ample at the 64-bit
+scale this library targets.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
-from .errors import CompositeModulusBase
+from .errors import CompositeModulusBase, PrimalityUnproven
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# Witness set proven sufficient for n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the trial divisors of is_prime and factorize, and the Miller-Rabin
+# witnesses: one tuple, so no witness is ever tested against itself
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin, exact for n < psi_13.  Above that a
+    composite answer still has its witness, but PrimalityUnproven is
+    raised where a prime one would be a guess."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -30,7 +36,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -40,6 +46,10 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= 3_317_044_064_679_887_385_961_981:  # psi_13
+        raise PrimalityUnproven(
+            f"{n} passes Miller-Rabin to bases 2..41, which proves nothing at or above psi_13"
+        )
     return True
 
 
@@ -89,7 +99,7 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     # trial division for mid-size factors
-    f = 41
+    f = 43
     while f * f <= n and f < 100000:
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
@@ -109,12 +119,22 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def divisors_sorted(n: int) -> list[int]:
-    """All positive divisors of n in ascending order."""
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+def order_dividing(n: int, is_one: Callable[[int], bool]) -> int:
+    """The least d >= 1 with is_one(d), given that is_one(k) holds exactly
+    for the multiples k of d and that n is one of them.
+
+    Each prime factor of n is stripped while the test still holds: after
+    the prime f is done, n has d's exponent of f.  This is the one order
+    kernel: the multiplicative order of a field element (n = q - 1), of a
+    root of X^2 + (z+2)X + 1 (n = p - chi) and the Fibonacci entry point
+    of any integer (a multiple from Wall's lattice property).
+    """
+    for f, e in factorize(n).items():
+        for _ in range(e):
+            if not is_one(n // f):
+                break
+            n //= f
+    return n
 
 
 def legendre(a: int, p: int) -> int:

@@ -189,7 +189,7 @@ def _check_morgan_voyce(level: str) -> tuple[bool, str]:
         for n in range(p + 2):
             poly = morganvoyce.f_m1(n)
             for z in range(1, p):
-                if morganvoyce.mv_value(n, z) % p != fmp.eval_fp(n, p, z):
+                if morganvoyce.lehmer_U(n, z) % p != fmp.eval_fp(n, p, z):
                     return False, f"mod-p bridge fails at (n={n}, p={p}, z={z})"
             if n >= 1 and fmp.eval_fp(n, p, 0) != 1:
                 return False, f"constant term wrong at (n={n}, p={p})"
@@ -230,8 +230,6 @@ def _check_alpha_cross(level: str) -> tuple[bool, str]:
             rec = appearance.alpha_zp(z, p)
             if appearance.alpha_divisor_bound(z, p) % rec.alpha:
                 return False, f"divisor law fails at (z={z}, p={p})"
-            if (z + 4) % p == 0:
-                continue
             if appearance.alpha_via_multiplicative_order(z, p) != rec.alpha:
                 return False, f"order route disagrees at (z={z}, p={p})"
             pairs += 1

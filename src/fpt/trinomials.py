@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .appearance import alpha_via_multiplicative_order, alpha_zp, discriminant_class, sigma_map
+from .appearance import alpha_via_multiplicative_order, discriminant_class, sigma_map
 from .dickson import i0_code
 from .errors import (
     BudgetExceeded,
@@ -25,7 +25,13 @@ from .errors import (
     ZeroA,
     ZeroZ,
 )
-from .gf import DEFAULT_BUDGET, frobenius_orbit_minpoly, make_field
+from .gf import (
+    DEFAULT_BUDGET,
+    check_budget,
+    check_field,
+    frobenius_orbit_minpoly,
+    make_field,
+)
 from .numth import sqrt_mod_p
 from .planes import canonical_plane
 from .upoly import (
@@ -220,11 +226,16 @@ class Frob2Report:
 
 
 def _gamma_bar_roots(z: int, p: int, budget: int):
-    """Splitting field and all roots of gamma_bar(z) in it, by sweep."""
-    m = alpha_zp(z, p).alpha
+    """Splitting field and all roots of gamma_bar(z) in it, by sweep.
+
+    The field is built only after p is found prime, z nonzero and the
+    splitting field F_{p^m}, m = alpha(z, p), within budget."""
+    check_field(p, 1)
+    if z % p == 0:
+        raise ZeroZ("roots exist only for z != 0")
+    m = alpha_via_multiplicative_order(z, p)
+    check_budget(p**m, budget)
     field = make_field(p, m)
-    if field.q > budget:
-        raise BudgetExceeded(f"splitting field order {field.q} exceeds budget")
     coeffs = gamma_bar(z, p).coeffs
 
     def at(x: int) -> int:  # Horner in the field, on the F_p coefficients
@@ -243,9 +254,6 @@ def frob2_check(z: int, p: int, budget: int = DEFAULT_BUDGET) -> Frob2Report:
     """Every root t of gamma_bar(z) in its splitting field must satisfy
     I_0(t, 1) = t^(p^2), the double Frobenius; in particular I_0(t, 1)
     is again a root."""
-    z %= p
-    if z == 0:
-        raise ZeroZ("roots exist only for z != 0")
     field, roots = _gamma_bar_roots(z, p, budget)
     root_set = set(roots)
     failures = []
@@ -253,15 +261,12 @@ def frob2_check(z: int, p: int, budget: int = DEFAULT_BUDGET) -> Frob2Report:
         i0 = i0_code(field, t, 1)
         if i0 != field.frob_code(t, 2) or i0 not in root_set:
             failures.append(t)
-    return Frob2Report(p, z, field.m, len(roots), tuple(failures))
+    return Frob2Report(p, z % p, field.m, len(roots), tuple(failures))
 
 
 def roots_distinct_planes_check(z: int, p: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Distinct roots of gamma_bar(z) lie in distinct planes of the
     pencil (each root taken with the prime-field line it spans)."""
-    z %= p
-    if z == 0:
-        raise ZeroZ("roots exist only for z != 0")
     from .dickson import nu_point_code
 
     field, roots = _gamma_bar_roots(z, p, budget)

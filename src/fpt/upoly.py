@@ -583,43 +583,31 @@ class IntPoly:
         return len(self.coeffs) - 1
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
-        return int_poly_add(self, other)
+        a, b = list(self.coeffs), list(other.coeffs)
+        if len(a) < len(b):
+            a, b = b, a
+        for i, y in enumerate(b):
+            a[i] += y
+        return IntPoly.make(a)
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return int_poly_add(self, IntPoly.make([-c for c in other.coeffs]))
+        return self + IntPoly.make([-c for c in other.coeffs])
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
-        return int_poly_mul(self, other)
+        if not self.coeffs or not other.coeffs:
+            return IntPoly(())
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, x in enumerate(self.coeffs):
+            if x:
+                for j, y in enumerate(other.coeffs):
+                    out[i + j] += x * y
+        return IntPoly.make(out)
 
     def __call__(self, x: int) -> int:
-        return int_poly_eval(self, x)
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
-
-
-def int_poly_add(f: IntPoly, g: IntPoly) -> IntPoly:
-    a, b = list(f.coeffs), list(g.coeffs)
-    if len(a) < len(b):
-        a, b = b, a
-    for i, y in enumerate(b):
-        a[i] += y
-    return IntPoly.make(a)
-
-
-def int_poly_mul(f: IntPoly, g: IntPoly) -> IntPoly:
-    if not f.coeffs or not g.coeffs:
-        return IntPoly(())
-    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
-    for i, x in enumerate(f.coeffs):
-        if x:
-            for j, y in enumerate(g.coeffs):
-                out[i + j] += x * y
-    return IntPoly.make(out)
-
-
-def int_poly_eval(f: IntPoly, x: int) -> int:
-    acc = 0
-    for c in reversed(f.coeffs):
-        acc = acc * x + c
-    return acc

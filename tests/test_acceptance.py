@@ -102,7 +102,8 @@ def test_criterion_15_entry_point_density():
 
 def test_all_criteria_have_tests():
     import re
+    from pathlib import Path
 
-    thismod = open(__file__).read()
+    thismod = Path(__file__).read_text()
     for name in _NAMES:
         assert re.search(rf'_run\("{name}"\)', thismod), name

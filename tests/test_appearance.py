@@ -20,14 +20,15 @@ from fpt.appearance import (
     sigma_map,
     wall_check,
 )
-from fpt.errors import ExcludedZ, PIsFive, ZeroArgument
+from fpt.errors import PIsFive, ZeroArgument
 from fpt.numth import primes_upto
 
 
 def test_alpha_zp_examples():
-    for p in (3, 5, 7, 11, 13):
+    for p in primes_upto(97)[1:]:
         assert alpha_zp(p - 1, p).alpha == 3          # z = -1
-        assert alpha_zp((-4) % p, p).alpha == p       # z = -4
+        # z = -4: X = 1 + eps modulo (X - 1)^2 has order p
+        assert alpha_via_multiplicative_order((-4) % p, p) == p == alpha_zp((-4) % p, p).alpha
     assert alpha_zp(16, 19).alpha == 6
     assert alpha_zp(18, 19).alpha == 3
     with pytest.raises(ZeroArgument):
@@ -87,12 +88,14 @@ def test_alpha_classical_examples():
 
 
 def test_alpha_prime_fast_path_agrees():
+    # no special case at p = 2 (no root in F_2) or p = 5 (double root 1)
+    assert alpha_prime(2) == 3 and alpha_prime(5) == 5
     for p in primes_upto(1000):
         assert alpha_prime(p) == alpha_classical(p)
 
 
 def test_alpha_any_agrees_with_direct_recursion():
-    for n in range(2, 300):
+    for n in [*range(2, 300), 2**12, 3**7, 5**6, 7**4, 11**3, 2**3 * 5**4]:
         assert alpha_any(n) == alpha_classical(n)
 
 
@@ -151,17 +154,14 @@ def test_alpha_via_multiplicative_order_examples():
     # z = 4 sits in the non-residue branch: the order lives in F_{19^2}
     assert alpha_via_multiplicative_order(4, 19) == 20
     assert alpha_via_multiplicative_order(1, 2) == 3
-    with pytest.raises(ExcludedZ):
+    assert alpha_via_multiplicative_order(3, 7) == 7  # -4 mod 7
+    with pytest.raises(ZeroArgument):
         alpha_via_multiplicative_order(0, 7)
-    with pytest.raises(ExcludedZ):
-        alpha_via_multiplicative_order(3, 7)  # -4 mod 7
 
 
 def test_alpha_cross_validation_small():
     for p in (2, 3, 5, 7, 11, 13, 19, 23):
         for z in range(1, p):
-            if (z + 4) % p == 0:
-                continue
             assert alpha_via_multiplicative_order(z, p) == alpha_zp(z, p).alpha
 
 
@@ -169,7 +169,7 @@ def test_alpha_cross_validation_small():
 @given(st.sampled_from(primes_upto(500)), st.integers(1, 498))
 def test_alpha_routes_agree_at_random_points(p, z):
     z %= p
-    assume(z != 0 and (z + 4) % p != 0)
+    assume(z != 0)
     assert alpha_via_multiplicative_order(z, p) == alpha_zp(z, p).alpha
 
 

@@ -145,7 +145,8 @@ def test_fmp_build_refused_on_support_size(tmp_path, capsys):
     assert run_cli(capsys, "--budget", "100", "fmp", "build", "--p", "3", "--m", "18")[0] == 2
 
 
-@pytest.mark.parametrize("p", ["-3", "1", "4"])
+# the least strong pseudoprime to the bases 2..37 (Jaeschke, Math. Comp. 61, 1993)
+@pytest.mark.parametrize("p", ["-3", "1", "4", "318665857834031151167461"])
 def test_fmp_build_refuses_a_characteristic_that_is_not_prime(tmp_path, capsys, p):
     # refused before the support-size charge and before a cached copy is read
     (tmp_path / f"fmp_{p}_12.json").write_text("{}")
@@ -153,6 +154,19 @@ def test_fmp_build_refuses_a_characteristic_that_is_not_prime(tmp_path, capsys, 
         for m in ("12", "37"):
             code, out, err = run_cli(capsys, *prefix, "fmp", "build", "--p", p, "--m", m)
             assert (code, out, err) == (1, "", f"error: {p} is not a prime\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("trinomial", "frob2", "--p", "15", "--z", "1"),
+    ("trinomial", "frob2", "--p", "4", "--z", "1"),
+    ("trinomial", "frob2", "--p", "0", "--z", "1"),
+    # psi_13, the least strong pseudoprime to the bases 2..41: no proof either way
+    ("fmp", "build", "--p", "3317044064679887385961981", "--m", "4"),
+])
+def test_unusable_characteristic_is_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_zvalues_full_sweep_flag_is_gone(capsys):

@@ -13,11 +13,10 @@ from fpt.morganvoyce import (
     mv_apparition,
     mv_poly,
     mv_three_term_check,
-    mv_value,
 )
 from fpt.gf import make_field
 from fpt.numth import fib, primes_upto
-from fpt.upoly import DensePoly, int_poly_eval
+from fpt.upoly import DensePoly
 
 
 def test_f_m1_base_cases():
@@ -55,7 +54,7 @@ def test_three_term_recursion():
 def test_fib_poly_values_and_parity():
     for m in range(30):
         f = fib_poly(m)
-        assert int_poly_eval(f, 1) == fib(m)
+        assert f(1) == fib(m)
         # odd index: even polynomial; even index: odd polynomial
         for i, c in enumerate(f.coeffs):
             if c:
@@ -90,7 +89,7 @@ def test_lehmer_values():
     # Morgan-Voyce values are the family at the integer point
     for Z in (2, 3, 5):
         for n in range(21):
-            assert mv_value(n, Z) == int_poly_eval(f_m1(n), Z)
+            assert lehmer_U(n, Z) == f_m1(n)(Z)
 
 
 def test_family_reduces_mod_p():

@@ -3,7 +3,8 @@ generation."""
 
 import pytest
 
-from fpt.errors import NoSuchOrder, OrderTooSmall, ZeroA, ZeroZ
+from fpt import trinomials
+from fpt.errors import BudgetExceeded, NoSuchOrder, OrderTooSmall, ZeroA, ZeroZ
 from fpt.gf import make_field
 from fpt.trinomials import (
     beta,
@@ -197,7 +198,7 @@ def test_splitting_degrees_match_alpha():
             assert set(dm) == {a}
 
 
-def test_frob2_check_small():
+def test_frob2_check_small(monkeypatch):
     # z = 2 is both -1 and -4 mod 3: cubic splitting field, X-1 removed
     rep = frob2_check(2, 3)
     assert rep.passed and rep.m == 3 and rep.roots_checked == 3
@@ -207,6 +208,13 @@ def test_frob2_check_small():
     assert rep.passed and rep.m == 5
     with pytest.raises(ZeroZ):
         frob2_check(0, 5)
+    # a splitting field over budget is refused before its modulus search
+    def unreachable(p, m):
+        raise AssertionError(f"F_({p}^{m}) built before the budget check")
+
+    monkeypatch.setattr(trinomials, "make_field", unreachable)
+    with pytest.raises(BudgetExceeded):
+        frob2_check(3, 4099)
 
 
 def test_frob2_check_p19():
