@@ -74,15 +74,11 @@ def _default_budget() -> int:
 
 def _field(args, refuse=None) -> gf.FieldDesc:
     """F_{p^m} for a command that sweeps it, built only after the checks
-    make_field and the command would make on it: refuse(m, q, budget) is
+    make_field and the command would make on it: refuse(p, m, budget) is
     the command's own (the budget alone when None), so a refusal never
     pays for the modulus search and the tables."""
     gf.check_field(args.p, args.m)
-    q = args.p**args.m
-    if refuse is None:
-        gf.check_budget(q, args.budget)
-    else:
-        refuse(args.m, q, args.budget)
+    (refuse or gf.check_budget)(args.p, args.m, args.budget)
     return gf.make_field(args.p, args.m)
 
 
@@ -262,7 +258,8 @@ def _cmd_mv_apparition(args):
 
 
 def _cmd_verify_appendix(args):
-    rep = dickson.verify_appendix_recursion(args.m, _field(args, dickson.refuse_appendix), budget=args.budget)
+    field = _field(args, lambda p, m, budget: dickson.refuse_appendix(m, p, m, budget))
+    rep = dickson.verify_appendix_recursion(args.m, field, budget=args.budget)
     return rep.to_json()
 
 

@@ -133,13 +133,13 @@ class AppendixReport:
         }
 
 
-def refuse_appendix(m: int, q: int, budget: int = DEFAULT_BUDGET) -> None:
-    """What verify_appendix_recursion refuses before its sweep of a field
-    of order q: an index below 3, then an order above the budget.  It
+def refuse_appendix(m: int, p: int, n: int, budget: int = DEFAULT_BUDGET) -> None:
+    """What verify_appendix_recursion at index m refuses before its sweep
+    of F_{p^n}: an index below 3, then an order above the budget.  It
     needs no field, so a caller can refuse before building one."""
     if m < 3:
         raise ValueError("the recursion starts at index 3")
-    check_budget(q, budget)
+    check_budget(p, n, budget)
 
 
 def verify_appendix_recursion(
@@ -152,7 +152,7 @@ def verify_appendix_recursion(
     points of the quadratic subfield are excluded as well, since an even
     bracket index with a vanishing [0,2] denominator is involved.
     """
-    refuse_appendix(m, field.q, budget)
+    refuse_appendix(m, field.p, field.m, budget)
     p = field.p
     t = theta(m - 3, p)
     need_quadratic_exclusion = m >= 4

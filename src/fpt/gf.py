@@ -326,10 +326,12 @@ def check_field(p: int, m: int) -> None:
         raise CompositeModulusBase(f"{p} is not a prime in [2, 2^20]")
 
 
-def check_budget(q: int, budget: int) -> None:
-    """Refuse a sweep over a field of order q above the element budget."""
-    if q > budget:
-        raise BudgetExceeded(f"field order {q} exceeds budget {budget}")
+def check_budget(p: int, m: int, budget: int) -> None:
+    """Refuse a sweep over F_{p^m} when its order is above the element
+    budget.  A degree beyond the budget's bit length is refused before
+    p^m is formed (p >= 2), so the check stays cheap at any m."""
+    if m > budget.bit_length() or p**m > budget:
+        raise BudgetExceeded(f"field order {p}^{m} exceeds budget {budget}")
 
 
 @functools.lru_cache(maxsize=64)

@@ -100,7 +100,7 @@ def enumerate_planes(field: FieldDesc, budget: int = DEFAULT_BUDGET) -> list[Pla
     """All planes, one canonical representative each, by direct echelon
     enumeration over pivot-column pairs."""
     p, m = field.p, field.m
-    refuse_sweep(m, field.q, budget, "planes")
+    refuse_sweep(p, m, budget, "planes")
     out = []
     for j1 in range(m - 1):
         for j2 in range(j1 + 1, m):
@@ -176,9 +176,9 @@ def orbit_count(p: int, m: int, budget: int = DEFAULT_BUDGET) -> OrbitCensus:
     n (q - 1) / (p^2 - 1) planes.
     """
     check_field(p, m)
-    q = p**m
-    refuse_sweep(m, q, budget, "planes")  # before the field is built
+    refuse_sweep(p, m, budget, "planes")  # before the field is built
     field = make_field(p, m)
+    q = field.q
     inv, mul = field.inv_code, field.mul_code
     reps = prime_line_reps(p, m)
     # node of every code outside F_p, looked up by code // p, which drops
@@ -218,15 +218,15 @@ def orbit_count(p: int, m: int, budget: int = DEFAULT_BUDGET) -> OrbitCensus:
 
 
 def refuse_sweep(
-    m: int, q: int, budget: int = DEFAULT_BUDGET, what: str = "plane invariants"
+    p: int, m: int, budget: int = DEFAULT_BUDGET, what: str = "plane invariants"
 ) -> None:
-    """What a sweep of the planes of F_q, q = p^m, refuses before it
-    starts: a degree below 2, then an order above the budget.  It needs
-    only m and q, so a caller can refuse before the field and its tables
-    are built."""
+    """What a sweep of the planes of F_{p^m} refuses before it starts: a
+    degree below 2, then an order above the budget.  It needs only p and
+    m, so a caller can refuse before the field and its tables are
+    built."""
     if m < 2:
         raise DegreeTooSmall(f"{what} need extension degree at least 2")
-    check_budget(q, budget)
+    check_budget(p, m, budget)
 
 
 def z_values(
@@ -238,7 +238,7 @@ def z_values(
     Every dilation orbit holds a plane span{1, y}, so nu(y, 1) over the
     prime-line planes takes every value.
     """
-    refuse_sweep(field.m, field.q, budget)
+    refuse_sweep(field.p, field.m, budget)
     vals = {nu_point_code(field, y) for y in prime_line_reps(field.p, field.m)}
     z = frozenset(vals)
     z_circ = frozenset(v for v in vals if v)
@@ -270,7 +270,7 @@ def pencil(z: int, field: FieldDesc, budget: int = DEFAULT_BUDGET) -> Pencil:
     p, m = field.p, field.m
     if not 0 <= z < p:
         raise WrongField(f"{z} is not a residue mod {p}")
-    check_budget(field.q, budget)
+    check_budget(field.p, field.m, budget)
     if z == 0:
         if m % 2 != 0:
             raise WrongField("value 0 needs the quadratic subfield, so an even degree")

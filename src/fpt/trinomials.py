@@ -234,7 +234,7 @@ def _gamma_bar_roots(z: int, p: int, budget: int):
     if z % p == 0:
         raise ZeroZ("roots exist only for z != 0")
     m = alpha_via_multiplicative_order(z, p)
-    check_budget(p**m, budget)
+    check_budget(p, m, budget)
     field = make_field(p, m)
     coeffs = gamma_bar(z, p).coeffs
 

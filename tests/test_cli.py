@@ -101,6 +101,18 @@ def test_budget_refusal_exit_code_2(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("trinomial", "frob2", "--p", "4099", "--z", "4"),
+    ("planes", "zvalues", "--p", "1048573", "--m", "100000000"),
+    ("verify", "appendix", "--p", "1048573", "--m", "100000000"),
+])
+def test_budget_refusal_names_the_order_as_a_power(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    p, m = argv[3], "4100" if argv[0] == "trinomial" else argv[5]
+    assert err == f"budget refused: field order {p}^{m} exceeds budget {gf.DEFAULT_BUDGET}\n"
+
+
 def test_invariant_violation_exit_code_1(capsys):
     code, _, err = run_cli(capsys, "planes", "pencil", "--p", "3", "--m", "3", "--z", "1")
     assert code == 1

@@ -134,7 +134,21 @@ def test_codes_enumerate_every_element():
         assert len({tuple(v) for v in vectors}) == F.q
         assert [F.from_coeffs(v) for v in vectors] == list(F.codes())
     with pytest.raises(BudgetExceeded):
-        gf.check_budget(3**6, 100)
+        gf.check_budget(3, 6, 100)
+
+
+def test_check_budget_at_the_bound_and_beyond():
+    gf.check_budget(3, 6, 729)
+    gf.check_budget(2, 10, 1024)
+    for p, m, budget in [(3, 6, 728), (2, 11, 2047), (2, 1, 0)]:
+        with pytest.raises(BudgetExceeded):
+            gf.check_budget(p, m, budget)
+    # p^m is never formed or written out in decimal: the message gives
+    # the order as a power, far past the digit limit of int-to-str
+    with pytest.raises(BudgetExceeded, match=r"^field order 1048573\^1000000000 exceeds budget 1000000$"):
+        gf.check_budget(1048573, 10**9, 10**6)
+    with pytest.raises(BudgetExceeded, match=r"^field order 4099\^4100 "):
+        gf.check_budget(4099, 4100, 10**6)
 
 
 def test_subfield_criterion():

@@ -215,6 +215,12 @@ def test_frob2_check_small(monkeypatch):
     monkeypatch.setattr(trinomials, "make_field", unreachable)
     with pytest.raises(BudgetExceeded):
         frob2_check(3, 4099)
+    # alpha(4, 4099) = 4100 and alpha(5, 1048573) = 1048574: orders far
+    # beyond the digit limit of int-to-str are refused all the same
+    with pytest.raises(BudgetExceeded, match=r"4099\^4100 "):
+        frob2_check(4, 4099)
+    with pytest.raises(BudgetExceeded, match=r"1048573\^1048574 "):
+        frob2_check(5, 1048573)
 
 
 def test_frob2_check_p19():
