@@ -10,22 +10,30 @@ root in F_p, so the scan below index p+2 always terminates.  It is
 also the multiplicative order of X modulo that quadratic
 (alpha_via_multiplicative_order), the independent route the trinomial
 degree prediction, the splitting fields and every entry point use: one
-call of numth.order_dividing each.
+call of numth.order_dividing each.  The scans over all primes up to a
+limit ask less: the density census only whether alpha(p) = p -+ 1, which
+is numth.has_order on the factors of p -+ 1 read off one
+numth.factor_sieve, and the Carmichael search only primes p <= Fib(m)
+whose p - chi the target m divides.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import PIsFive, ZeroArgument
 from .fmp import eval_fp_sequence
 from .numth import (
+    factor_sieve,
     factorize,
     fib_pair,
+    has_order,
     legendre,
     order_dividing,
     primes_upto,
+    sieve_factorize,
 )
 
 
@@ -74,6 +82,26 @@ def alpha_divisor_bound(z: int, p: int) -> int:
     return p - discriminant_class(z, p)
 
 
+def x_is_one(z: int, p: int) -> Callable[[int], bool]:
+    """The test e -> (X^e = 1 in F_p[X]/(X^2 + (z+2)X + 1)), by
+    square-and-multiply on pairs (u0, u1) = u0 + u1 X of plain residues;
+    the is_one that numth.order_dividing and numth.has_order take.  The
+    bits of e are read from the top, so each multiply is by X alone:
+    X (u0 + u1 X) = -u1 + (u0 - (z+2) u1) X."""
+    c = (z + 2) % p
+
+    def is_one(e: int) -> bool:
+        r0, r1 = 1, 0
+        for bit in bin(e)[2:]:
+            t = r1 * r1
+            r0, r1 = (r0 * r0 - t) % p, (2 * r0 * r1 - c * t) % p
+            if bit == "1":
+                r0, r1 = -r1 % p, (r0 - c * r1) % p
+        return r0 == 1 and r1 == 0
+
+    return is_one
+
+
 def alpha_via_multiplicative_order(z: int, p: int) -> int:
     """alpha(z, p) as the multiplicative order of the class of X in
     A = F_p[X]/(X^2 + (z+2)X + 1), that is, of a root r of the quadratic.
@@ -83,29 +111,14 @@ def alpha_via_multiplicative_order(z: int, p: int) -> int:
     where r^(p+1) is the constant term 1; at z = -4 the quadratic is
     (X - 1)^2 and X = 1 + eps with eps^2 = 0 has order p.  In every case
     the order divides p - chi, so numth.order_dividing strips prime
-    factors of p - chi, with elements of A kept as pairs
-    (u0, u1) = u0 + u1 X of plain residues.  No square root is taken and
+    factors of p - chi with x_is_one.  No square root is taken and
     neither p = 2 nor z = -4 is special.  z = 0 (r = -1, where the family
     never vanishes) is refused as in alpha_zp.
     """
     z %= p
     if z == 0:
         raise ZeroArgument("alpha(0, p) is undefined")
-    c = (z + 2) % p
-
-    def power(e: int) -> tuple[int, int]:
-        # X^e mod X^2 + cX + 1, square-and-multiply on pairs
-        r0, r1, b0, b1 = 1, 0, 0, 1
-        while e:
-            if e & 1:
-                t = r1 * b1
-                r0, r1 = (r0 * b0 - t) % p, (r0 * b1 + r1 * b0 - c * t) % p
-            t = b1 * b1
-            b0, b1 = (b0 * b0 - t) % p, (2 * b0 * b1 - c * t) % p
-            e >>= 1
-        return r0, r1
-
-    return order_dividing(alpha_divisor_bound(z, p), lambda e: power(e) == (1, 0))
+    return order_dividing(alpha_divisor_bound(z, p), x_is_one(z, p))
 
 
 def alpha_classical(n: int) -> int:
@@ -135,6 +148,8 @@ def alpha_any(n: int) -> int:
     divides k, and alpha(p^e) divides alpha(p) p^(e-1) (Wall, Amer. Math.
     Monthly 67, 1960), so the lcm of those over p^e || n is a multiple of
     alpha(n) to strip."""
+    if n < 2:
+        raise ValueError("entry points start at n = 2")
     bound = 1
     for p, e in factorize(n).items():
         bound = math.lcm(bound, alpha_prime(p) * p ** (e - 1))
@@ -196,9 +211,24 @@ def salle_bound_scan(limit: int) -> SalleReport:
 
 
 def carmichael_search(m: int, prime_limit: int) -> int | None:
-    """Least prime p <= prime_limit whose entry point is m, or None."""
-    for p in primes_upto(prime_limit):
-        if alpha_prime(p) == m:
+    """Least prime p <= prime_limit whose entry point is m, or None.
+
+    alpha(p) = m makes p divide Fib(m), so p <= Fib(m), and makes m divide
+    p - chi.  So only primes up to min(prime_limit, Fib(m)) are sieved,
+    with the Fibonacci numbers walked only until one passes the limit, and
+    alpha_prime runs only where both necessary conditions hold.
+    """
+    bound, nxt = 0, 1
+    for _ in range(m):
+        bound, nxt = nxt, bound + nxt
+        if bound > prime_limit:
+            break
+    for p in primes_upto(min(prime_limit, bound)):
+        if (
+            alpha_divisor_bound(1, p) % m == 0
+            and fib_pair(m, p)[0] == 0
+            and alpha_prime(p) == m
+        ):
             return p
     return None
 
@@ -231,16 +261,21 @@ def shanks_taylor_density(prime_limit: int) -> DensityReport:
     """
     if prime_limit > 10**6:
         raise ValueError("scan limit capped at 1e6")
-    ps = primes_upto(prime_limit)
+    spf = factor_sieve(prime_limit + 1)
+    ps = [p for p in range(2, prime_limit + 1) if spf[p] == p]
     count_pm1 = count_pp1 = 0
     pp1 = []
     for p in ps:
-        a = alpha_prime(p)
-        if a == p - 1:
-            count_pm1 += 1
-        elif a == p + 1:
-            count_pp1 += 1
-            pp1.append(p)
+        # alpha(p) divides p - chi, so it can equal p - 1 only when chi = 1
+        # and p + 1 only when chi = -1 (p = 2 and p = 3 among them)
+        chi = discriminant_class(1, p)
+        n = p - chi
+        if chi and has_order(n, sieve_factorize(spf, n), x_is_one(1, p)):
+            if chi == 1:
+                count_pm1 += 1
+            else:
+                count_pp1 += 1
+                pp1.append(p)
     total = len(ps)
     return DensityReport(
         prime_limit, count_pm1, count_pp1, total, count_pm1 / total, tuple(pp1)

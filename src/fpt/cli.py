@@ -192,7 +192,7 @@ def _cmd_alpha_table(args):
 def _cmd_alpha_classical(args):
     if args.n is None:
         raise BadParameter("alpha classical needs --n")
-    return {"n": args.n, "alpha": appearance.alpha_classical(args.n)}
+    return {"n": args.n, "alpha": appearance.alpha_any(args.n)}
 
 
 def _cmd_alpha_density(args):

@@ -32,7 +32,7 @@ from .errors import (
     DivisionByZero,
     ZeroElement,
 )
-from .numth import factorize, is_prime, order_dividing
+from .numth import factorize, has_order, is_prime, order_dividing
 
 DEFAULT_BUDGET = 1 << 20
 TABLE_LIMIT = 1 << 20
@@ -291,7 +291,7 @@ class FieldDesc:
         n = self.q - 1
         fac = factorize(n)
         for cand in range(2, self.q):
-            if all(self.pow_code(cand, n // f) != 1 for f in fac):
+            if has_order(n, fac, lambda e: self.pow_code(cand, e) == 1):
                 return cand
         raise AssertionError("no multiplicative generator found")
 

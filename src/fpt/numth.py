@@ -5,15 +5,18 @@ Fibonacci numbers.
 Everything here is exact and deterministic.  Primality is the strong
 Miller-Rabin test to the prime bases 2..41, which no composite below
 psi_13 ~ 3.3e24 passes (Jaeschke, Math. Comp. 61, 1993); a number at or
-above psi_13 that passes is refused rather than called prime.  Factoring
-is trial division backed by Pollard rho, which is ample at the 64-bit
-scale this library targets.
+above psi_13 that passes is refused rather than called prime.  One-off
+factoring is trial division backed by Pollard rho, which is ample at the
+64-bit scale this library targets; a scan over every integer up to a
+limit reads its factors off one smallest-prime-factor sieve instead.
+Orders have two kernels on a known multiple n: order_dividing finds the
+order, and has_order only asks whether it is n itself.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from .errors import CompositeModulusBase, PrimalityUnproven
 
@@ -70,6 +73,36 @@ def primes_upto(n: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return [i for i in range(2, n + 1) if sieve[i]]
+
+
+def factor_sieve(n: int) -> Sequence[int]:
+    """Smallest prime factor of every k <= n, as an array('I') with
+    spf[k] = k for k prime (and for 0 and 1).
+
+    Each prime f <= sqrt(n) writes itself over its multiples from f^2 by
+    one slice assignment, largest f first, so the smallest prime factor
+    is written last; a composite k always has its least factor f with
+    f^2 <= k.  4(n + 1) bytes.
+    """
+    # loading the array module costs ~0.25 MB of RSS, which only the
+    # scans that sieve should pay
+    from array import array
+
+    spf = array("I", range(n + 1))
+    for f in reversed(primes_upto(math.isqrt(max(n, 0)))):
+        start = f * f
+        spf[start::f] = array("I", [f]) * len(range(start, n + 1, f))
+    return spf
+
+
+def sieve_factorize(spf: Sequence[int], n: int) -> dict[int, int]:
+    """factorize(n) read off a factor_sieve covering n, primes ascending."""
+    out: dict[int, int] = {}
+    while n > 1:
+        f = spf[n]
+        out[f] = out.get(f, 0) + 1
+        n //= f
+    return out
 
 
 def _pollard_rho(n: int) -> int:
@@ -135,6 +168,15 @@ def order_dividing(n: int, is_one: Callable[[int], bool]) -> int:
                 break
             n //= f
     return n
+
+
+def has_order(n: int, primes: Iterable[int], is_one: Callable[[int], bool]) -> bool:
+    """Whether order_dividing(n, is_one) is n itself, given the prime
+    factors of n under the same premise: the order is n exactly when no
+    is_one(n // f) holds.  One test per prime, stopping at the first that
+    holds, and no strip loop: the maximality test behind a field
+    generator and an entry point alpha(p) = p -+ 1."""
+    return not any(is_one(n // f) for f in primes)
 
 
 def legendre(a: int, p: int) -> int:

@@ -97,6 +97,9 @@ def test_alpha_prime_fast_path_agrees():
 def test_alpha_any_agrees_with_direct_recursion():
     for n in [*range(2, 300), 2**12, 3**7, 5**6, 7**4, 11**3, 2**3 * 5**4]:
         assert alpha_any(n) == alpha_classical(n)
+    for n in (1, 0, -7):
+        with pytest.raises(ValueError, match="entry points start at n = 2"):
+            alpha_any(n)
 
 
 def test_alpha_zp_at_one_is_classical():
@@ -132,9 +135,45 @@ def test_salle_scan():
 def test_carmichael_search():
     assert carmichael_search(10, 100) == 11
     assert carmichael_search(4, 100) == 3
-    assert carmichael_search(6, 10000) is None
-    assert carmichael_search(12, 10000) is None
-    assert carmichael_search(1, 10000) is None
+    assert carmichael_search(3, 10) == 2
+    assert carmichael_search(5, 10) == 5  # chi = 0: m divides p itself
+    assert carmichael_search(10, 10) is None
+    assert carmichael_search(10, 10**8) == 11  # only primes <= Fib(10) = 55 are sieved
+    for m in (-3, 0, 1, 2, 6, 12):
+        assert carmichael_search(m, 10000) is None
+
+
+def test_carmichael_search_matches_a_walk_over_alpha_prime():
+    alpha = {p: alpha_prime(p) for p in primes_upto(10**4)}
+    for limit in (10, 100, 10**4):
+        for m in range(1, 121):
+            want = next((p for p, a in alpha.items() if p <= limit and a == m), None)
+            assert carmichael_search(m, limit) == want, (m, limit)
+
+
+def _density_by_walk(limit, alpha):
+    ps = [p for p in alpha if p <= limit]
+    pm1 = sum(alpha[p] == p - 1 for p in ps)
+    pp1 = tuple(p for p in ps if alpha[p] == p + 1)
+    return (limit, pm1, len(pp1), len(ps), pm1 / len(ps), pp1)
+
+
+def _density_fields(rep):
+    return (rep.limit, rep.count_pm1, rep.count_pp1, rep.total_primes, rep.density, rep.pp1_primes)
+
+
+def test_density_matches_a_walk_over_alpha_prime():
+    alpha = {p: alpha_prime(p) for p in primes_upto(3000)}
+    for limit in range(2, 3001):
+        assert _density_fields(shanks_taylor_density(limit)) == _density_by_walk(limit, alpha)
+    alpha = {p: alpha_prime(p) for p in primes_upto(10**5)}
+    for limit in (4096, 54321, 99991, 10**5):
+        assert _density_fields(shanks_taylor_density(limit)) == _density_by_walk(limit, alpha)
+
+
+def test_density_keeps_its_cap():
+    with pytest.raises(ValueError, match="scan limit capped at 1e6"):
+        shanks_taylor_density(10**6 + 1)
 
 
 def test_density_scan_small():

@@ -246,6 +246,25 @@ def test_trinomial_frob2(capsys):
 def test_alpha_classical_cli(capsys):
     code, out, _ = run_cli(capsys, "alpha", "classical", "--n", "11")
     assert code == 0 and json.loads(out)["alpha"] == 10
+    # psi_12 = 399165290221 * 798330580441: the recursion mod n would need
+    # 2e11 steps, the order kernel on Wall's multiple a fraction of a second
+    code, out, _ = run_cli(capsys, "alpha", "classical", "--n", "318665857834031151167461")
+    assert code == 0 and json.loads(out)["alpha"] == 199582645110
+    code, out, err = run_cli(capsys, "alpha", "classical", "--n", "1")
+    assert code == 1 and out == "" and err == "error: entry points start at n = 2\n"
+    # a probable prime above psi_13 is refused, not walked
+    code, out, err = run_cli(capsys, "alpha", "classical", "--n", str(2**89 - 1))
+    assert code == 1 and out == "" and "proves nothing at or above psi_13" in err
+
+
+def test_alpha_carmichael_sieves_no_further_than_fib_m():
+    # Fib(10) = 55 bounds the sieve; the whole limit would take seconds and
+    # hundreds of MB
+    src = str(Path(fpt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, "-m", "fpt.cli", "alpha", "carmichael", "--m", "10", "--limit", "100000000"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["prime"] == 11
 
 
 def _field_built_first(args, refuse=None):

@@ -1,19 +1,26 @@
 """Integer helper sanity checks."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpt.appearance import alpha_divisor_bound, x_is_one
 from fpt.errors import CompositeModulusBase, PrimalityUnproven
+from fpt.gf import make_field
 from fpt.numth import (
+    factor_sieve,
     factorize,
     fib,
     fib_pair,
+    has_order,
     is_prime,
     legendre,
     order_dividing,
     primes_upto,
     require_prime,
+    sieve_factorize,
     sqrt_mod_p,
 )
 
@@ -46,6 +53,47 @@ def test_order_dividing_is_the_least_order(p, data):
     a = data.draw(st.integers(1, p - 1))
     brute = next(k for k in range(1, p) if pow(a, k, p) == 1)
     assert order_dividing(p - 1, lambda e: pow(a, e, p) == 1) == brute
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.sampled_from(primes_upto(2000)), st.data())
+def test_has_order_is_order_dividing_reaching_n_on_pair_powers(p, data):
+    # X modulo X^2 + (z+2)X + 1 over F_p, z = -4 (order p) included, and
+    # multiples of p - chi so that "no" answers get drawn too
+    z = data.draw(st.integers(1, p - 1))
+    n = alpha_divisor_bound(z, p) * data.draw(st.integers(1, 3))
+    is_one = x_is_one(z, p)
+    assert has_order(n, factorize(n), is_one) == (order_dividing(n, is_one) == n)
+
+
+_FIELDS = ((2, 4), (2, 8), (3, 3), (3, 5), (5, 2), (7, 3), (13, 1), (19, 2), (2, 21))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from(_FIELDS), st.data())
+def test_has_order_is_order_dividing_reaching_n_on_field_elements(pm, data):
+    F = make_field(*pm)
+    a = data.draw(st.integers(1, F.q - 1))
+    n = F.q - 1
+
+    def is_one(e):
+        return F.pow_code(a, e) == 1
+
+    assert has_order(n, factorize(n), is_one) == (order_dividing(n, is_one) == n)
+
+
+def test_factor_sieve_factors_multiply_back():
+    n = 20000
+    spf = factor_sieve(n)
+    assert len(spf) == n + 1
+    assert [k for k in range(2, n + 1) if spf[k] == k] == primes_upto(n)
+    for k in range(1, n + 1):
+        fac = sieve_factorize(spf, k)
+        assert math.prod(f**e for f, e in fac.items()) == k
+        assert fac == factorize(k) and list(fac) == sorted(fac)
+    for tiny in (-3, 0, 1, 2, 3):
+        assert list(factor_sieve(tiny)) == list(range(tiny + 1))
+    assert list(factor_sieve(4)) == [0, 1, 2, 3, 2]
 
 
 def test_require_prime_has_no_size_cap():
