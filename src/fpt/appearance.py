@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import PIsFive, ZeroArgument
+from .errors import BudgetExceeded, FptError
 from .fmp import eval_fp_sequence
 from .numth import (
     factor_sieve,
@@ -52,7 +52,7 @@ def alpha_zp(z: int, p: int) -> AppearanceRecord:
     """Least m >= 2 with family_m(z) = 0, for z in F_p^*."""
     z %= p
     if z == 0:
-        raise ZeroArgument("alpha(0, p) is undefined; the value 0 names the quadratic-subfield orbit")
+        raise FptError("alpha(0, p) is undefined; the value 0 names the quadratic-subfield orbit")
     vals = eval_fp_sequence(p, z, p + 1)
     for m in range(2, p + 2):
         if vals[m] == 0:
@@ -117,7 +117,7 @@ def alpha_via_multiplicative_order(z: int, p: int) -> int:
     """
     z %= p
     if z == 0:
-        raise ZeroArgument("alpha(0, p) is undefined")
+        raise FptError("alpha(0, p) is undefined")
     return order_dividing(alpha_divisor_bound(z, p), x_is_one(z, p))
 
 
@@ -125,7 +125,7 @@ def alpha_classical(n: int) -> int:
     """Entry point of n in the Fibonacci sequence (least m with n
     dividing Fib(m)), by direct recursion mod n."""
     if n < 2:
-        raise ValueError("entry points start at n = 2")
+        raise FptError("entry points start at n = 2")
     a, b = 0, 1
     m = 0
     while True:
@@ -149,7 +149,7 @@ def alpha_any(n: int) -> int:
     Monthly 67, 1960), so the lcm of those over p^e || n is a multiple of
     alpha(n) to strip."""
     if n < 2:
-        raise ValueError("entry points start at n = 2")
+        raise FptError("entry points start at n = 2")
     bound = 1
     for p, e in factorize(n).items():
         bound = math.lcm(bound, alpha_prime(p) * p ** (e - 1))
@@ -161,7 +161,7 @@ def check_divisibility_law(p: int) -> bool:
     alpha(p) divides p - chi, which is p - (5|p) for odd p since
     X^2 + 3X + 1 has discriminant 5; p = 5 is excluded."""
     if p == 5:
-        raise PIsFive("the law excludes p = 5")
+        raise FptError("the law excludes p = 5")
     return alpha_divisor_bound(1, p) % alpha_classical(p) == 0
 
 
@@ -192,7 +192,7 @@ def salle_bound_scan(limit: int) -> SalleReport:
     2 <= Z <= limit and list the equality cases, asserting they are
     exactly 6, 30, 150, ... (6 times powers of 5)."""
     if limit > 10**5:
-        raise ValueError("scan limit capped at 1e5")
+        raise BudgetExceeded("scan limit capped at 1e5")
     equality = []
     for n in range(2, limit + 1):
         a = alpha_any(n)
@@ -260,7 +260,7 @@ def shanks_taylor_density(prime_limit: int) -> DensityReport:
     underlying density statement is conjectural and never asserted).
     """
     if prime_limit > 10**6:
-        raise ValueError("scan limit capped at 1e6")
+        raise BudgetExceeded("scan limit capped at 1e6")
     spf = factor_sieve(prime_limit + 1)
     ps = [p for p in range(2, prime_limit + 1) if spf[p] == p]
     count_pm1 = count_pp1 = 0
@@ -286,7 +286,7 @@ def sigma_map(r: int, p: int) -> int:
     """sigma(r) = -r - 2 - 1/r, defined for r outside {0, 1, -1}."""
     r %= p
     if r == 0 or r == 1 or r == p - 1:
-        raise ValueError("sigma needs r outside {0, 1, -1}")
+        raise FptError("sigma needs r outside {0, 1, -1}")
     return (-r - 2 - pow(r, -1, p)) % p
 
 

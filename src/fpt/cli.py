@@ -2,10 +2,11 @@
 
 Every subcommand prints one machine-readable report to stdout (JSON by
 default, CSV as a lossy convenience) and keeps diagnostics on stderr.
-Exit codes: 0 success, 2 budget refusal, 1 invariant violation or bad
-input.  Reports are byte-identical for identical configurations
-(including --seed); integers beyond 2^53 are serialized as decimal
-strings so downstream consumers cannot overflow.
+Exit codes: 0 success, 2 budget refusal (BudgetExceeded), 1 invalid
+input (FptError or any other ValueError).  Reports are byte-identical
+for identical configurations (including --seed); integers beyond 2^53
+are serialized as decimal strings so downstream consumers cannot
+overflow.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import sys
 from pathlib import Path
 
 from . import appearance, dickson, fmp, gf, morganvoyce, planes, trinomials, zigzag
-from .errors import BadParameter, BudgetExceeded, FptError
-from .numth import require_prime
+from .errors import BudgetExceeded, FptError
+from .numth import fib, require_prime
 from .selfcheck import run_all
 
 _BIG = 1 << 53
@@ -42,7 +43,7 @@ def _jsonable(obj):
         return [_jsonable(v) for v in items]
     if hasattr(obj, "to_json"):
         return _jsonable(obj.to_json())
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    raise AssertionError(f"cannot serialize {type(obj).__name__}")
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -102,7 +103,7 @@ def _cmd_fmp_build(args):
 
 def _cmd_fmp_eval(args):
     if args.z is None:
-        raise BadParameter("fmp eval needs --z")
+        raise FptError("fmp eval needs --z")
     return {
         "p": args.p,
         "m": args.m,
@@ -115,7 +116,7 @@ def _cmd_fmp_gcd(args):
     import math
 
     if args.n is None:
-        raise BadParameter("fmp gcd needs --n")
+        raise FptError("fmp gcd needs --n")
     ok = fmp.gcd_check(args.m, args.n, args.p, budget=args.budget)
     return {
         "p": args.p,
@@ -145,7 +146,7 @@ def _cmd_planes_zvalues(args):
 
 def _cmd_planes_pencil(args):
     if args.z is None:
-        raise BadParameter("planes pencil needs --z")
+        raise FptError("planes pencil needs --z")
     field = _field(args)
     pen = planes.pencil(args.z % args.p, field, budget=args.budget)
     return pen.to_json()
@@ -170,18 +171,19 @@ def _cmd_zigzag_rep(args):
         idx = zigzag.negafibonacci(n)
         return {"n": n, "indices": [-k for k in idx], "kind": "negafib"}
     else:
-        raise BadParameter(f"unknown representation kind {kind!r}")
+        raise FptError(f"unknown representation kind {kind!r}")
     return {"n": n, "kind": kind, "sequence": seq.as_string(), "length": len(seq)}
 
 
 def _cmd_zigzag_enum(args):
-    seqs = zigzag.enum_zigzag(args.n, args.orientation)
-    return {
-        "n": args.n,
-        "orientation": args.orientation,
-        "count": len(seqs),
-        "sequences": [s.as_string() for s in seqs] if args.n <= 12 else None,
-    }
+    # past length 12 only the count, Fib(n + 2), is printed: nothing is listed
+    if args.n > 12:
+        zigzag.check_length(args.n)
+        count, seqs = fib(args.n + 2), None
+    else:
+        seqs = [s.as_string() for s in zigzag.enum_zigzag(args.n, args.orientation)]
+        count = len(seqs)
+    return {"n": args.n, "orientation": args.orientation, "count": count, "sequences": seqs}
 
 
 def _cmd_alpha_table(args):
@@ -191,7 +193,7 @@ def _cmd_alpha_table(args):
 
 def _cmd_alpha_classical(args):
     if args.n is None:
-        raise BadParameter("alpha classical needs --n")
+        raise FptError("alpha classical needs --n")
     return {"n": args.n, "alpha": appearance.alpha_any(args.n)}
 
 
@@ -201,12 +203,13 @@ def _cmd_alpha_density(args):
 
 def _cmd_alpha_carmichael(args):
     if args.m is None:
-        raise BadParameter("alpha carmichael needs --m (the target entry point)")
+        raise FptError("alpha carmichael needs --m (the target entry point)")
     p = appearance.carmichael_search(args.m, args.limit)
     return {"m": args.m, "limit": args.limit, "prime": p}
 
 
 def _cmd_trinomial_predict(args):
+    require_prime(args.p)
     case = trinomials.classify(args.a, args.b, args.p)
     predicted = trinomials.predict_degrees(args.a, args.b, args.p)
     out = case.to_json()
@@ -215,6 +218,7 @@ def _cmd_trinomial_predict(args):
 
 
 def _cmd_trinomial_verify(args):
+    require_prime(args.p)
     case = trinomials.classify(args.a, args.b, args.p)
     predicted, actual, ok = trinomials.verify_degrees(args.a, args.b, args.p)
     out = case.to_json()
@@ -225,13 +229,14 @@ def _cmd_trinomial_verify(args):
 
 
 def _cmd_trinomial_generate(args):
+    require_prime(args.p)
     poly = trinomials.generate_irreducible(args.p, args.m, seed=args.seed, budget=args.budget)
     return {"p": args.p, "degree": args.m, "coeffs": list(poly.coeffs)}
 
 
 def _cmd_trinomial_frob2(args):
     if args.z is None:
-        raise BadParameter("trinomial frob2 needs --z")
+        raise FptError("trinomial frob2 needs --z")
     rep = trinomials.frob2_check(args.z, args.p, budget=args.budget)
     out = rep.to_json()
     out["distinct_planes"] = trinomials.roots_distinct_planes_check(
@@ -247,7 +252,7 @@ def _cmd_mv_poly(args):
 
 def _cmd_mv_apparition(args):
     if args.z is None:
-        raise BadParameter("mv apparition needs --z")
+        raise FptError("mv apparition needs --z")
     lift = args.lift if args.lift is not None else args.z
     return {
         "p": args.p,
@@ -287,7 +292,7 @@ def _add_common(sp, *names):
 class _Parser(argparse.ArgumentParser):
     # exit code 2 is reserved for budget refusals; usage problems exit 1
     def error(self, message):
-        raise BadParameter(f"{message}\n{self.format_usage()}")
+        raise FptError(f"{message}\n{self.format_usage()}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,22 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except BadParameter as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.budget is None:
-        args.budget = _default_budget()
-    try:
+        args = build_parser().parse_args(argv)
+        if args.budget is None:
+            args.budget = _default_budget()
         out = args.func(args)
     except BudgetExceeded as exc:
         print(f"budget refused: {exc}", file=sys.stderr)
         return 2
-    except FptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DependentPair, Fp2OrbitDenominator
+from .errors import DependentPair, FptError
 from .fmp import theta
 from .gf import DEFAULT_BUDGET, FieldDesc, check_budget
 
@@ -79,7 +79,7 @@ def bracket_F_code(field: FieldDesc, m: int, x: int, y: int) -> int:
     [0,1]^(-theta(2k-1,p)); indices 1 and 2 are the constant 1.
     """
     if m < 1:
-        raise ValueError("bracket index must be >= 1")
+        raise FptError("bracket index must be >= 1")
     if m in (1, 2):
         return 1
     p = field.p
@@ -98,7 +98,7 @@ def bracket_F_code(field: FieldDesc, m: int, x: int, y: int) -> int:
     k = m // 2
     b02 = bracket_code(field, 0, 2, x, y)
     if b02 == 0:
-        raise Fp2OrbitDenominator("even bracket index undefined on the quadratic-subfield orbit")
+        raise FptError("even bracket index undefined on the quadratic-subfield orbit")
     b12 = bracket_code(field, 1, 2, x, y)
     lead = bracket_code(field, 0, m, x, y)
     ratio = field.mul_code(
@@ -138,7 +138,7 @@ def refuse_appendix(m: int, p: int, n: int, budget: int = DEFAULT_BUDGET) -> Non
     of F_{p^n}: an index below 3, then an order above the budget.  It
     needs no field, so a caller can refuse before building one."""
     if m < 3:
-        raise ValueError("the recursion starts at index 3")
+        raise FptError("the recursion starts at index 3")
     check_budget(p, n, budget)
 
 

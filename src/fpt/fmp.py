@@ -13,13 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    BudgetExceeded,
-    NegativeExponent,
-    NegativeIndex,
-    NotPrimeFieldElement,
-    SupportCollision,
-)
+from .errors import BudgetExceeded, FptError
 from .gf import DEFAULT_BUDGET, make_field
 from .numth import require_prime
 from .upoly import DensePoly, poly_gcd
@@ -35,7 +29,7 @@ BUILD_TERMS_PER_UNIT = 16
 def theta(r: int, p: int) -> int:
     """The alternating sum p^r - p^(r-1) + ... + (-1)^r."""
     if r < 0:
-        raise NegativeIndex(f"theta index {r} < 0")
+        raise FptError(f"theta index {r} < 0")
     return (p ** (r + 1) + (-1) ** r) // (p + 1)
 
 
@@ -94,12 +88,12 @@ def build_recursive(m: int, p: int, cache: dict | None = None) -> SparseSupport:
     unshifted halves are checked disjoint at every step."""
     require_prime(p)
     if m < 0:
-        raise NegativeIndex("family index must be >= 0")
+        raise FptError("family index must be >= 0")
     if cache is None:
         cache = {}
     if m in cache:
         if cache[m].p != p:
-            raise ValueError("cache holds members of a different characteristic")
+            raise FptError("cache holds members of a different characteristic")
         return cache[m]
     supports: dict[int, frozenset[int]] = {
         0: frozenset(),
@@ -111,7 +105,7 @@ def build_recursive(m: int, p: int, cache: dict | None = None) -> SparseSupport:
         shifted = frozenset(e + shift for e in supports[k - 1])
         low = supports[k - 2]
         if shifted & low:
-            raise SupportCollision(f"support halves overlap at index {k}")
+            raise AssertionError(f"support halves overlap at index {k}")
         supports[k] = shifted | low
     for k in list(supports):
         if k <= m:
@@ -140,17 +134,17 @@ def build_zigzag(m: int, p: int) -> SparseSupport:
     (-1)^(m-1) times their base-(-p) values, all non-negative."""
     require_prime(p)
     if m < 2:
-        raise NegativeIndex("zigzag construction needs m >= 2")
+        raise FptError("zigzag construction needs m >= 2")
     sign = 1 if (m - 1) % 2 == 0 else -1
     exps = []
     for seq in enum_zigzag(m - 2):
         e = sign * value_base(seq, -p)
         if e < 0:
-            raise NegativeExponent(f"exponent {e} negative for {seq.bits}")
+            raise AssertionError(f"exponent {e} negative for {seq.bits}")
         exps.append(e)
     support = frozenset(exps)
     if len(support) != len(exps):
-        raise SupportCollision("duplicate exponents in zigzag support")
+        raise AssertionError("duplicate exponents in zigzag support")
     return SparseSupport(p, m, support)
 
 
@@ -163,13 +157,13 @@ def support_size(m: int, p: int) -> int:
     """
     require_prime(p)
     if m < 0:
-        raise NegativeIndex("family index must be >= 0")
+        raise FptError("family index must be >= 0")
     counts = {0: 0, 1: 1, 2: 1}
     degs = {0: -1, 1: 0, 2: 0}
     for k in range(3, m + 1):
         shift = theta(k - 3, p)
         if shift <= degs[k - 2]:
-            raise SupportCollision(f"shift {shift} does not clear the low half at {k}")
+            raise AssertionError(f"shift {shift} does not clear the low half at {k}")
         counts[k] = counts[k - 1] + counts[k - 2]
         degs[k] = shift + degs[k - 1]
         if degs[k] != degree_formula(k, p):
@@ -181,9 +175,9 @@ def eval_fp(m: int, p: int, z: int) -> int:
     """Family member evaluated at a prime-field point, via the
     parity-alternating two-term recursion (O(m) multiplications)."""
     if not isinstance(z, int) or not 0 <= z < p:
-        raise NotPrimeFieldElement(f"{z!r} is not a residue mod {p}")
+        raise FptError(f"{z!r} is not a residue mod {p}")
     if m < 0:
-        raise NegativeIndex("family index must be >= 0")
+        raise FptError("family index must be >= 0")
     return eval_fp_sequence(p, z, m)[m]
 
 
@@ -210,6 +204,8 @@ def gcd_check(m: int, n: int, p: int, budget: int = DENSE_DEGREE_BUDGET) -> bool
     member at gcd(m, n)."""
     import math
 
+    if min(m, n) < 0:
+        raise FptError("family index must be >= 0")
     cache: dict = {}
     top = max(m, n)
     build_recursive(top, p, cache)
@@ -225,7 +221,7 @@ def eval_support_in_field(member: SparseSupport, field, x_code: int) -> int:
     It checks the paper's bracket-product formula F_m(x, 1) =
     family_m(nu(x, 1)) at points x of F_{p^m}."""
     if field.p != member.p:
-        raise NotPrimeFieldElement("field characteristic does not match the family")
+        raise FptError("field characteristic does not match the family")
     acc = 0
     for e in member.support:
         acc = field.add_code(acc, field.pow_code(x_code, e))

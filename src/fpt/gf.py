@@ -25,13 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .errors import (
-    BudgetExceeded,
-    CompositeModulusBase,
-    DegreeZero,
-    DivisionByZero,
-    ZeroElement,
-)
+from .errors import BudgetExceeded, FptError
 from .numth import factorize, has_order, is_prime, order_dividing
 
 DEFAULT_BUDGET = 1 << 20
@@ -253,7 +247,7 @@ class FieldDesc:
 
     def inv_code(self, a: int) -> int:
         if a == 0:
-            raise DivisionByZero("inverse of zero")
+            raise FptError("inverse of zero")
         if self.m == 1:
             return pow(a, -1, self.p)
         if self._exp is not None:
@@ -267,7 +261,7 @@ class FieldDesc:
             if e == 0:
                 return 1
             if e < 0:
-                raise DivisionByZero("negative power of zero")
+                raise FptError("negative power of zero")
             return 0
         e %= self.q - 1
         if self.m == 1:
@@ -282,7 +276,7 @@ class FieldDesc:
 
     def order_code(self, a: int) -> int:
         if a == 0:
-            raise ZeroElement("multiplicative order of zero")
+            raise FptError("multiplicative order of zero")
         return order_dividing(self.q - 1, lambda e: self.pow_code(a, e) == 1)
 
     def generator(self) -> int:
@@ -321,9 +315,9 @@ def check_field(p: int, m: int) -> None:
     """Refuse what make_field refuses, before any work: a degree below 1,
     then a characteristic that is not a prime in [2, 2^20]."""
     if m < 1:
-        raise DegreeZero(f"extension degree {m} < 1")
+        raise FptError(f"extension degree {m} < 1")
     if not 2 <= p <= P_LIMIT or not is_prime(p):
-        raise CompositeModulusBase(f"{p} is not a prime in [2, 2^20]")
+        raise FptError(f"{p} is not a prime in [2, 2^20]")
 
 
 def check_budget(p: int, m: int, budget: int) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Sequence
 
-from .errors import CompositeModulusBase, PrimalityUnproven
+from .errors import FptError
 
 # the trial divisors of is_prime and factorize, and the Miller-Rabin
 # witnesses: one tuple, so no witness is ever tested against itself
@@ -27,8 +27,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for n < psi_13.  Above that a
-    composite answer still has its witness, but PrimalityUnproven is
-    raised where a prime one would be a guess."""
+    composite answer still has its witness, but FptError is raised
+    where a prime one would be a guess."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -50,7 +50,7 @@ def is_prime(n: int) -> bool:
         else:
             return False
     if n >= 3_317_044_064_679_887_385_961_981:  # psi_13
-        raise PrimalityUnproven(
+        raise FptError(
             f"{n} passes Miller-Rabin to bases 2..41, which proves nothing at or above psi_13"
         )
     return True
@@ -60,7 +60,7 @@ def require_prime(p: int) -> None:
     """Refuse a characteristic that is not prime.  Unlike
     gf.check_field there is no 2^20 cap, for callers that build no field."""
     if not is_prime(p):
-        raise CompositeModulusBase(f"{p} is not a prime")
+        raise FptError(f"{p} is not a prime")
 
 
 def primes_upto(n: int) -> list[int]:
@@ -119,13 +119,13 @@ def _pollard_rho(n: int) -> int:
             d = math.gcd(abs(x - y), n)
         if d != n:
             return d
-    raise ArithmeticError(f"rho failed on {n}")
+    raise FptError(f"rho failed on {n}")
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization as {prime: exponent}."""
     if n < 1:
-        raise ValueError("factorize needs n >= 1")
+        raise FptError("factorize needs n >= 1")
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         while n % p == 0:
@@ -199,7 +199,7 @@ def sqrt_mod_p(a: int, p: int) -> int:
     if a == 0:
         return 0
     if legendre(a, p) != 1:
-        raise ValueError(f"{a} is not a quadratic residue mod {p}")
+        raise FptError(f"{a} is not a quadratic residue mod {p}")
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
     # write p-1 = q * 2^s with q odd

@@ -17,12 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .dickson import nu_code, nu_point_code
-from .errors import (
-    CoefficientNotInPrimeField,
-    DegreeTooSmall,
-    DependentPair,
-    WrongField,
-)
+from .errors import DependentPair, FptError
 from .fmp import degree_formula, eval_fp
 from .gf import (
     DEFAULT_BUDGET,
@@ -225,7 +220,7 @@ def refuse_sweep(
     m, so a caller can refuse before the field and its tables are
     built."""
     if m < 2:
-        raise DegreeTooSmall(f"{what} need extension degree at least 2")
+        raise FptError(f"{what} need extension degree at least 2")
     check_budget(p, m, budget)
 
 
@@ -269,13 +264,13 @@ def pencil(z: int, field: FieldDesc, budget: int = DEFAULT_BUDGET) -> Pencil:
     for z = 0, which names the quadratic subfield)."""
     p, m = field.p, field.m
     if not 0 <= z < p:
-        raise WrongField(f"{z} is not a residue mod {p}")
+        raise FptError(f"{z} is not a residue mod {p}")
     check_budget(field.p, field.m, budget)
     if z == 0:
         if m % 2 != 0:
-            raise WrongField("value 0 needs the quadratic subfield, so an even degree")
+            raise FptError("value 0 needs the quadratic subfield, so an even degree")
     elif eval_fp(m, p, z) != 0:
-        raise WrongField(f"value {z} does not occur among planes of this field")
+        raise FptError(f"value {z} does not occur among planes of this field")
     # distinct codes y name distinct planes span{1, y}
     found = [
         canonical_plane(field, y, 1)
@@ -303,7 +298,7 @@ def oracle_fmp(field: FieldDesc, budget: int = DEFAULT_BUDGET) -> DensePoly:
         remaining.difference_update(orbit)
         for c in cs:
             if c >= p:
-                raise CoefficientNotInPrimeField(
+                raise AssertionError(
                     f"orbit product coefficient {field.to_coeffs(c)} left F_p"
                 )
         poly = poly * DensePoly(poly.field, tuple(cs))

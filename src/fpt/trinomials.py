@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 from .appearance import alpha_via_multiplicative_order, discriminant_class, sigma_map
 from .dickson import i0_code
-from .errors import (
-    BudgetExceeded,
-    NoSuchOrder,
-    OrderTooSmall,
-    ZeroA,
-    ZeroZ,
-)
+from .errors import BudgetExceeded, FptError
 from .gf import (
     DEFAULT_BUDGET,
     check_budget,
@@ -73,7 +67,7 @@ def classify(a: int, b: int, p: int) -> TrinomialCase:
     a %= p
     b %= p
     if a == 0:
-        raise ZeroA("the degree theorem needs a != 0")
+        raise FptError("the degree theorem needs a != 0")
     zeta = b * pow(a * a % p, -1, p) % p
     if zeta == 0:
         return TrinomialCase(p, a, b, 0, None, BRANCH_ZERO)
@@ -108,7 +102,7 @@ def beta(z: int, p: int) -> DensePoly:
 def delta(z: int, p: int) -> DensePoly:
     """The monic rescaling X^(p+1) - X - 1/z of beta_z; z must be nonzero."""
     if z % p == 0:
-        raise ZeroZ("delta needs z != 0")
+        raise FptError("delta needs z != 0")
     field = make_field(p, 1)
     cs = [0] * (p + 2)
     cs[0] = -pow(z, -1, p) % p
@@ -232,7 +226,7 @@ def _gamma_bar_roots(z: int, p: int, budget: int):
     splitting field F_{p^m}, m = alpha(z, p), within budget."""
     check_field(p, 1)
     if z % p == 0:
-        raise ZeroZ("roots exist only for z != 0")
+        raise FptError("roots exist only for z != 0")
     m = alpha_via_multiplicative_order(z, p)
     check_budget(p, m, budget)
     field = make_field(p, m)
@@ -292,7 +286,7 @@ def generate_irreducible(
     Requires m >= 3 and m dividing p-1 or p+1.
     """
     if m < 3:
-        raise OrderTooSmall("need order at least 3")
+        raise FptError("need order at least 3")
     if (p - 1) % m == 0:
         r = pow(make_field(p, 1).generator(), (p - 1) // m, p)
         z = sigma_map(r, p)
@@ -306,7 +300,7 @@ def generate_irreducible(
             raise AssertionError("trace-style value did not land in F_p")
         z = z_code
     else:
-        raise NoSuchOrder(f"no element of order {m} in F_p or F_(p^2)")
+        raise FptError(f"no element of order {m} in F_p or F_(p^2)")
     gbar = gamma_bar(z, p)
     if gbar.degree == m:
         out = gbar

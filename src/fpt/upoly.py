@@ -31,11 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import (
-    ConstantInput,
-    ConstantModulus,
-    FieldMismatch,
-)
+from .errors import FptError
 from .gf import FieldDesc
 
 _NP_MUL_THRESHOLD = 24
@@ -104,7 +100,7 @@ def _raw_divmod(
     field: FieldDesc, a: list[int], b: list[int]
 ) -> tuple[list[int], list[int]]:
     if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+        raise FptError("polynomial division by zero")
     if len(a) < len(b):
         return [], list(a)
     p = field.p
@@ -159,14 +155,14 @@ def _raw_gcd(field: FieldDesc, a: list[int], b: list[int]) -> list[int]:
 @dataclass(frozen=True)
 class DensePoly:
     """Dense univariate polynomial over a prime field, constant term
-    first; an extension-field descriptor raises FieldMismatch."""
+    first; an extension-field descriptor raises FptError."""
 
     field: FieldDesc
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.field.m != 1:
-            raise FieldMismatch(f"polynomials are over prime fields only, not {self.field}")
+            raise FptError(f"polynomials are over prime fields only, not {self.field}")
 
     @classmethod
     def make(cls, field: FieldDesc, coeffs) -> "DensePoly":
@@ -202,7 +198,7 @@ class DensePoly:
 
     def _check(self, other: "DensePoly") -> None:
         if self.field != other.field:
-            raise FieldMismatch("polynomials over different fields")
+            raise FptError("polynomials over different fields")
 
     def __add__(self, other: "DensePoly") -> "DensePoly":
         self._check(other)
@@ -295,7 +291,7 @@ class _ModCtx:
 
     def __init__(self, field: FieldDesc, mod: list[int]):
         if len(mod) < 2:
-            raise ConstantModulus("modulus must be nonconstant")
+            raise FptError("modulus must be nonconstant")
         self.field = field
         self.p = p = field.p
         self.mod = list(mod)
@@ -333,7 +329,7 @@ class _ModCtx:
 
     def powmod(self, a: list[int], e: int) -> list[int]:
         if e < 0:
-            raise ValueError("negative exponent in powmod")
+            raise FptError("negative exponent in powmod")
         base = self.reduce(list(a))
         if e != self.p:
             return self._square_multiply(base, e)
@@ -402,7 +398,7 @@ def poly_powmod(f: DensePoly, e: int, mod: DensePoly) -> DensePoly:
     powers in one _ModCtx, as the distinct-degree loop takes them."""
     f._check(mod)
     if mod.is_constant():
-        raise ConstantModulus("powmod modulus must be nonconstant")
+        raise FptError("powmod modulus must be nonconstant")
     ctx = _ModCtx(f.field, list(mod.coeffs))
     return DensePoly(f.field, tuple(ctx.powmod(list(f.coeffs), e)))
 
@@ -424,7 +420,7 @@ def squarefree_decomposition(f: DensePoly) -> list[tuple[DensePoly, int]]:
     """Monic squarefree parts with multiplicities; the product of
     part**multiplicity recovers monic(f).  Characteristic-p safe."""
     if f.is_constant():
-        raise ConstantInput("squarefree decomposition needs a nonconstant input")
+        raise FptError("squarefree decomposition needs a nonconstant input")
     field = f.field
     out: list[tuple[DensePoly, int]] = []
     stack = [(list(f.monic().coeffs), 1)]
@@ -505,7 +501,7 @@ def distinct_degree_factor(f: DensePoly) -> DegreeMultiset:
     with multiplicity: squarefree decomposition first, then standard
     distinct-degree splitting within each squarefree part."""
     if f.is_constant():
-        raise ConstantInput("cannot factor a constant")
+        raise FptError("cannot factor a constant")
     counts: dict[int, int] = {}
     for part, mult in squarefree_decomposition(f):
         for d, w in _ddf_squarefree(part):
@@ -523,7 +519,7 @@ def is_irreducible(f: DensePoly) -> bool:
     reducible f is rejected after as many p-th powers as the degree of its
     smallest irreducible factor."""
     if f.is_constant():
-        raise ConstantInput("constants are neither irreducible nor reducible here")
+        raise FptError("constants are neither irreducible nor reducible here")
     return next(_ddf_squarefree(f.monic()))[0] == f.degree
 
 
@@ -534,7 +530,7 @@ def equal_degree_split(f: DensePoly, d: int, seed: int = 0) -> list[DensePoly]:
     field = f.field
     p = field.p
     if p == 2:
-        raise NotImplementedError("equal-degree splitting is implemented for odd p")
+        raise FptError("equal-degree splitting is implemented for odd p")
     rng = random.Random(seed)
     out: list[DensePoly] = []
     stack = [f.monic()]

@@ -16,13 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    BudgetExceeded,
-    NegativeInput,
-    NonBinaryEntry,
-    NonPositive,
-    SearchWindowExhausted,
-)
+from .errors import BudgetExceeded, FptError
 from .numth import fib
 
 DOWN_UP = "down-up"
@@ -36,7 +30,7 @@ def _check_bits(bits: Iterable[int]) -> tuple[int, ...]:
     out = tuple(bits)
     for b in out:
         if b not in (0, 1):
-            raise NonBinaryEntry(f"entry {b!r} is not 0 or 1")
+            raise FptError(f"entry {b!r} is not 0 or 1")
     return out
 
 
@@ -65,9 +59,9 @@ class ZigzagSeq:
     def __post_init__(self):
         _check_bits(self.bits)
         if self.orientation not in (DOWN_UP, UP_DOWN):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
+            raise FptError(f"unknown orientation {self.orientation!r}")
         if not _chain_ok(self.bits, self.orientation):
-            raise ValueError(f"{self.bits} is not a {self.orientation} sequence")
+            raise FptError(f"{self.bits} is not a {self.orientation} sequence")
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -87,14 +81,22 @@ def is_zigzag(bits: Iterable[int], orientation: str = DOWN_UP) -> bool:
     return _chain_ok(_check_bits(bits), orientation)
 
 
+def check_length(n: int) -> None:
+    """Refuse a length enum_zigzag would not list: negative, or beyond
+    the enumeration budget."""
+    if n < 0:
+        raise FptError(f"sequence length {n} < 0")
+    if n > _ENUM_LIMIT:
+        raise BudgetExceeded(f"length {n} exceeds enumeration budget")
+
+
 def enum_zigzag(n: int, orientation: str = DOWN_UP) -> list[ZigzagSeq]:
     """All zigzag sequences of length n (there are Fib(n+2) of them).
 
     Down/up sequences are generated by the parity recursion that appends
     on the low end; up/down sequences are the bitwise complements.
     """
-    if n > _ENUM_LIMIT:
-        raise BudgetExceeded(f"length {n} exceeds enumeration budget")
+    check_length(n)
     du = _enum_du(n)
     if orientation == DOWN_UP:
         return [ZigzagSeq(bits, DOWN_UP) for bits in du]
@@ -161,9 +163,9 @@ def to_downup(n: int, parity: str = "odd") -> ZigzagSeq:
     prefix 00, values in [Fib(L), 2 Fib(L)) with 10, the rest with 11.
     """
     if n < 0:
-        raise NegativeInput("Fibonacci values of 0/1 sequences are non-negative")
+        raise FptError("Fibonacci values of 0/1 sequences are non-negative")
     if parity not in ("odd", "even"):
-        raise ValueError("parity must be 'odd' or 'even'")
+        raise FptError("parity must be 'odd' or 'even'")
     length = _min_length(n, parity)
     bits: list[int] = []
     v = n
@@ -197,9 +199,7 @@ def _search_unique(n: int, orientation: str, lengths, window: int) -> ZigzagSeq:
                     f"representation of {n} not unique at length {length}: {hits}"
                 )
             return hits[0]
-    raise SearchWindowExhausted(
-        f"no representation of {n} within window length {window}"
-    )
+    raise BudgetExceeded(f"no representation of {n} within window length {window}")
 
 
 def _sfib_window(n: int) -> int:
@@ -226,12 +226,12 @@ def to_updown(n: int, parity: str = "odd") -> ZigzagSeq:
     """The unique up/down sequence of the given length parity whose
     Fibonacci value is n, at minimal length (bounded search)."""
     if n < 0:
-        raise NegativeInput("Fibonacci values of 0/1 sequences are non-negative")
+        raise FptError("Fibonacci values of 0/1 sequences are non-negative")
     if parity not in ("odd", "even"):
-        raise ValueError("parity must be 'odd' or 'even'")
+        raise FptError("parity must be 'odd' or 'even'")
     length = _min_length(n, parity)
     if length > _SEARCH_LIMIT:
-        raise SearchWindowExhausted(f"minimal length {length} beyond search limit")
+        raise BudgetExceeded(f"minimal length {length} beyond search limit")
     hits = [s for s in enum_zigzag(length, UP_DOWN) if value_fib(s) == n]
     if len(hits) != 1:
         raise AssertionError(f"expected one up/down representation, got {hits}")
@@ -242,7 +242,7 @@ def to_updown_sfib(n: int, parity: str = "odd") -> ZigzagSeq:
     """The unique up/down sequence of the given length parity with signed
     Fibonacci value n (bounded search)."""
     if parity not in ("odd", "even"):
-        raise ValueError("parity must be 'odd' or 'even'")
+        raise FptError("parity must be 'odd' or 'even'")
     start = 1 if parity == "odd" else 0
     if n == 0 and parity == "even":
         return ZigzagSeq((), UP_DOWN)
@@ -254,7 +254,7 @@ def zeckendorf(n: int) -> tuple[int, ...]:
     """Indices (descending) of the unique sum of non-consecutive Fibonacci
     numbers equal to n: n = sum Fib(k) over the returned k >= 2."""
     if n < 1:
-        raise NonPositive("Zeckendorf representation needs n >= 1")
+        raise FptError("Zeckendorf representation needs n >= 1")
     k = 2
     while fib(k + 1) <= n:
         k += 1

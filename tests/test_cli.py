@@ -11,8 +11,9 @@ from unittest import mock
 import pytest
 
 import fpt
-from fpt import cli, gf, planes
+from fpt import cli, gf, planes, zigzag
 from fpt.cli import main
+from fpt.numth import fib
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +182,32 @@ def test_unusable_characteristic_is_one_error_line(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+# argv that used to exit 0, end in a traceback, or exit 1 for a size cap
+@pytest.mark.parametrize("argv, code, err", [
+    *((("trinomial", cmd, "--p", p, "--a", "1", "--b", "1"), 1, f"error: {p} is not a prime")
+      for cmd in ("predict", "verify") for p in ("0", "4", "9", "15", "-5")),
+    (("trinomial", "generate", "--p", "0", "--m", "3"), 1, "error: 0 is not a prime"),
+    (("fmp", "gcd", "--p", "3", "--m", "-2", "--n", "4"), 1, "error: family index must be >= 0"),
+    (("fmp", "gcd", "--p", "3", "--m", "4", "--n", "-2"), 1, "error: family index must be >= 0"),
+    (("zigzag", "enum", "--n", "-1"), 1, "error: sequence length -1 < 0"),
+    (("zigzag", "enum", "--n", "41"), 2, "budget refused: length 41 exceeds enumeration budget"),
+    (("alpha", "density", "--limit", "2000000"), 2, "budget refused: scan limit capped at 1e6"),
+    (("zigzag", "rep", "--kind", "updown", "100000000"), 2,
+     "budget refused: minimal length 39 beyond search limit"),
+])
+def test_bad_parameter_is_one_line_and_its_exit_code(capsys, argv, code, err):
+    assert run_cli(capsys, *argv) == (code, "", err + "\n")
+
+
+def test_zigzag_enum_counts_without_listing_past_twelve(capsys):
+    for n in range(13, 41):
+        with mock.patch.object(zigzag, "enum_zigzag", side_effect=AssertionError):
+            code, out, _ = run_cli(capsys, "zigzag", "enum", "--n", str(n), "--orientation", "up-down")
+        assert code == 0
+        assert json.loads(out) == {"n": n, "orientation": "up-down", "count": fib(n + 2), "sequences": None}
+    assert fib(20) == len(zigzag.enum_zigzag(18))
+
+
 def test_zvalues_full_sweep_flag_is_gone(capsys):
     code, out, err = run_cli(capsys, "planes", "zvalues", "--p", "3", "--m", "5", "--full-sweep")
     assert code == 1 and out == ""
@@ -193,6 +220,10 @@ def test_env_budget(monkeypatch, capsys):
     monkeypatch.setenv("FPT_BUDGET", "100")
     code, _, _ = run_cli(capsys, "planes", "count", "--p", "3", "--m", "6")
     assert code == 2
+    monkeypatch.setenv("FPT_BUDGET", "abc")
+    assert run_cli(capsys, "planes", "count", "--p", "3", "--m", "6") == (
+        1, "", "error: invalid literal for int() with base 10: 'abc'\n"
+    )
 
 
 def test_selfcheck_quick(capsys):

@@ -14,7 +14,7 @@ from fpt.dickson import (
     nu_code,
     verify_appendix_recursion,
 )
-from fpt.errors import DependentPair, Fp2OrbitDenominator
+from fpt.errors import DependentPair, FptError
 
 
 def rand_codes(field, rng, count):
@@ -226,7 +226,7 @@ def test_bracket_F_base_cases():
 def test_bracket_F_even_rejects_quadratic_orbit():
     F = gf.make_field(3, 4)
     quad = next(x for x in outside_prime_field(F) if F.frob_code(x, 2) == x)
-    with pytest.raises(Fp2OrbitDenominator):
+    with pytest.raises(FptError, match="^even bracket index undefined on the quadratic-subfield orbit$"):
         bracket_F_code(F, 4, quad, 1)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fpt.errors import CompositeModulusBase, NotPrimeFieldElement
+from fpt.errors import FptError
 from fpt.fmp import (
     build_recursive,
     build_zigzag,
@@ -154,9 +154,9 @@ def test_eval_fp_matches_dense_evaluation():
 
 
 def test_eval_fp_rejects_non_residue():
-    with pytest.raises(NotPrimeFieldElement):
+    with pytest.raises(FptError, match=r"^9 is not a residue mod 7$"):
         eval_fp(5, 7, 9)
-    with pytest.raises(NotPrimeFieldElement):
+    with pytest.raises(FptError, match=r"^-1 is not a residue mod 7$"):
         eval_fp(5, 7, -1)
 
 
@@ -191,7 +191,7 @@ def test_member_7_display_at_p3():
 @pytest.mark.parametrize("p", [-3, 0, 1, 4, 9])
 def test_family_refuses_a_characteristic_that_is_not_prime(p):
     for build in (build_recursive, build_zigzag, support_size, degree_formula):
-        with pytest.raises(CompositeModulusBase):
+        with pytest.raises(FptError, match=rf"^{p} is not a prime$"):
             build(12, p)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from fpt import fmp, gf
 from fpt.dickson import i0_code
-from fpt.errors import BudgetExceeded, DegreeTooSmall, DependentPair, WrongField
+from fpt.errors import BudgetExceeded, DependentPair, FptError
 from fpt.planes import (
     OrbitCensus,
     canonical_plane,
@@ -41,7 +41,7 @@ def test_enumerate_planes_counts():
     planes = enumerate_planes(gf.make_field(3, 4))
     assert len(planes) == plane_count_formula(3, 4) == 130
     assert len(set(planes)) == 130
-    with pytest.raises(DegreeTooSmall):
+    with pytest.raises(FptError, match="need extension degree at least 2$"):
         enumerate_planes(gf.make_field(3, 1))
     with pytest.raises(BudgetExceeded):
         enumerate_planes(gf.make_field(3, 6), budget=100)
@@ -193,7 +193,7 @@ def test_pencil_matches_every_plane_route(p, m):
         expected = sorted(by_value[z], key=lambda pl: (pl.u, pl.v))
         assert list(pencil(z, F).planes) == expected
     for z in set(range(p)) - set(valid):
-        with pytest.raises(WrongField):
+        with pytest.raises(FptError, match=rf"^value {z} (does not occur among planes of this field|needs the quadratic subfield)"):
             pencil(z, F)
 
 
@@ -234,7 +234,7 @@ def test_pencil_zero_names_quadratic_subfield():
     assert len(pen.planes) == 1
     pts = set(pen.planes[0].points())
     assert pts == {x for x in F.codes() if F.frob_code(x, 2) == x}
-    with pytest.raises(WrongField):
+    with pytest.raises(FptError, match="^value 0 needs the quadratic subfield, so an even degree$"):
         pencil(0, gf.make_field(3, 3))
 
 
@@ -251,7 +251,7 @@ def test_pencil_planes_intersect_in_prime_field():
 
 
 def test_pencil_wrong_field():
-    with pytest.raises(WrongField):
+    with pytest.raises(FptError, match="^value 1 does not occur among planes of this field$"):
         pencil(1, gf.make_field(3, 3))  # alpha(1,3) = 4 does not divide 3
 
 

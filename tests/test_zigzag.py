@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from fpt.errors import NegativeInput, NonBinaryEntry, NonPositive
+from fpt.errors import BudgetExceeded, FptError
 from fpt.numth import fib
 from fpt.zigzag import (
     DOWN_UP,
@@ -47,7 +47,7 @@ def test_is_zigzag_examples():
     assert is_zigzag((1,), UP_DOWN)
     assert is_zigzag((0, 1, 0), UP_DOWN)
     assert not is_zigzag((1, 0, 1), UP_DOWN)
-    with pytest.raises(NonBinaryEntry):
+    with pytest.raises(FptError, match="^entry 2 is not 0 or 1$"):
         is_zigzag((0, 2, 1))
 
 
@@ -126,7 +126,7 @@ def test_to_downup_examples():
     assert to_downup(0, "even").bits == ()
     hit = to_downup(7, "even")
     assert hit.bits == (1, 1, 1, 1) and value_fib(hit) == 7
-    with pytest.raises(NegativeInput):
+    with pytest.raises(FptError, match="^Fibonacci values of 0/1 sequences are non-negative$"):
         to_downup(-1, "odd")
 
 
@@ -186,7 +186,7 @@ def test_zeckendorf_examples():
     assert zeckendorf(64) == (10, 6, 2)    # 55 + 8 + 1
     assert zeckendorf(1) == (2,)
     assert zeckendorf(100) == (11, 6, 4)   # 89 + 8 + 3
-    with pytest.raises(NonPositive):
+    with pytest.raises(FptError, match=r"^Zeckendorf representation needs n >= 1$"):
         zeckendorf(0)
 
 
@@ -232,14 +232,12 @@ def test_sequence_api():
 
 
 def test_enum_budget():
-    from fpt.errors import BudgetExceeded
-
     with pytest.raises(BudgetExceeded):
         enum_zigzag(41)
+    with pytest.raises(FptError, match="^sequence length -1 < 0$"):
+        enum_zigzag(-1)
 
 
 def test_search_window_exhausted():
-    from fpt.errors import SearchWindowExhausted
-
-    with pytest.raises(SearchWindowExhausted):
+    with pytest.raises(BudgetExceeded, match="^minimal length 33 beyond search limit$"):
         to_updown(4_000_000, "odd")
