@@ -291,8 +291,9 @@ def _add_common(sp, *names):
 
 class _Parser(argparse.ArgumentParser):
     # exit code 2 is reserved for budget refusals; usage problems exit 1
+    # with the one error line, without argparse's usage block
     def error(self, message):
-        raise FptError(f"{message}\n{self.format_usage()}")
+        raise FptError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,6 +34,11 @@ def _check_bits(bits: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
+def _check_orientation(orientation: str) -> None:
+    if orientation not in (DOWN_UP, UP_DOWN):
+        raise FptError(f"unknown orientation {orientation!r}")
+
+
 def _chain_ok(bits: tuple[int, ...], orientation: str) -> bool:
     # relation between positions k and k+1 (from the left) alternates,
     # starting with >= for down/up and <= for up/down
@@ -51,15 +56,17 @@ def _chain_ok(bits: tuple[int, ...], orientation: str) -> bool:
 
 @dataclass(frozen=True)
 class ZigzagSeq:
-    """A 0/1 zigzag sequence with its orientation; bits[0] = e_{n-1}."""
+    """A 0/1 zigzag sequence with its orientation; bits[0] = e_{n-1}.
+
+    Constructing one validates the entries, the orientation and the chain;
+    the sequences enum_zigzag builds skip these checks."""
 
     bits: tuple[int, ...]
     orientation: str = DOWN_UP
 
     def __post_init__(self):
         _check_bits(self.bits)
-        if self.orientation not in (DOWN_UP, UP_DOWN):
-            raise FptError(f"unknown orientation {self.orientation!r}")
+        _check_orientation(self.orientation)
         if not _chain_ok(self.bits, self.orientation):
             raise FptError(f"{self.bits} is not a {self.orientation} sequence")
 
@@ -73,12 +80,24 @@ class ZigzagSeq:
         return self.as_string()
 
 
+def _trusted(bits: tuple[int, ...], orientation: str) -> ZigzagSeq:
+    # a sequence the generator built is zigzag by construction: skip the
+    # checks of __post_init__ (and the frozen __setattr__)
+    seq = object.__new__(ZigzagSeq)
+    attrs = seq.__dict__
+    attrs["bits"] = bits
+    attrs["orientation"] = orientation
+    return seq
+
+
 def is_zigzag(bits: Iterable[int], orientation: str = DOWN_UP) -> bool:
     """Check the alternating inequality chain; length <= 1 is vacuously true.
 
     This is the paper's definition of a zigzag sequence, the brute-force
     oracle for enum_zigzag and its Fibonacci counts."""
-    return _chain_ok(_check_bits(bits), orientation)
+    bits = _check_bits(bits)
+    _check_orientation(orientation)
+    return _chain_ok(bits, orientation)
 
 
 def check_length(n: int) -> None:
@@ -93,54 +112,66 @@ def check_length(n: int) -> None:
 def enum_zigzag(n: int, orientation: str = DOWN_UP) -> list[ZigzagSeq]:
     """All zigzag sequences of length n (there are Fib(n+2) of them).
 
-    Down/up sequences are generated by the parity recursion that appends
-    on the low end; up/down sequences are the bitwise complements.
+    Built bottom-up, one length at a time from the two previous lengths.
+    A down/up sequence of odd length L is one of length L-2 followed by
+    00, or one of length L-1 followed by 1; at even L the suffixes are
+    11 and 0.  Up/down sequences, the bitwise complements, take the
+    complemented suffixes.  Each length lists the extensions of length
+    L-2 first, then those of length L-1, each in its shorter list's order.
+    Validation is skipped: every sequence is zigzag by construction.
     """
     check_length(n)
-    du = _enum_du(n)
-    if orientation == DOWN_UP:
-        return [ZigzagSeq(bits, DOWN_UP) for bits in du]
-    return [ZigzagSeq(tuple(1 - b for b in bits), UP_DOWN) for bits in du]
-
-
-def _enum_du(n: int) -> list[tuple[int, ...]]:
+    _check_orientation(orientation)
+    low = 0 if orientation == DOWN_UP else 1  # the pair's bit at odd L
+    shorter, level = [()], [(low,), (1 - low,)]
     if n == 0:
-        return [()]
-    if n == 1:
-        return [(0,), (1,)]
-    shorter2 = _enum_du(n - 2)
-    shorter1 = _enum_du(n - 1)
-    if n % 2 == 1:
-        out = [bits + (0, 0) for bits in shorter2]
-        out += [bits + (1,) for bits in shorter1]
-    else:
-        out = [bits + (1, 1) for bits in shorter2]
-        out += [bits + (0,) for bits in shorter1]
-    return out
+        level = shorter
+    for length in range(2, n + 1):
+        b = low if length % 2 else 1 - low
+        pair, single = (b, b), (1 - b,)
+        shorter, level = level, [s + pair for s in shorter] + [s + single for s in level]
+    return [_trusted(bits, orientation) for bits in level]
+
+
+def _entries(seq) -> tuple:
+    return seq.bits if isinstance(seq, ZigzagSeq) else tuple(seq)
 
 
 def value_base(seq, b: int) -> int:
     """sum_i v_i * b^i for any integer entries; the base may be any
     integer, including negatives."""
-    vals = seq.bits if isinstance(seq, ZigzagSeq) else tuple(seq)
     acc = 0
-    for v in vals:
+    for v in _entries(seq):
         acc = acc * b + v
     return acc
 
 
+def _weights(n: int, signed: bool) -> list[int]:
+    """Most significant first, the weight of each position i of a length-n
+    sequence: Fib(i+1), or Fib(-i-2) when signed."""
+    out = []
+    a, b = (-1, 2) if signed else (1, 1)  # the weights at i = 0 and i = 1
+    for _ in range(n):
+        out.append(a)
+        a, b = b, (a - b if signed else a + b)
+    out.reverse()
+    return out
+
+
+def _weigh(vals, weights: list[int]) -> int:
+    return sum([w * v for w, v in zip(weights, vals) if v])
+
+
 def value_fib(seq) -> int:
     """sum_i v_i * Fib(i+1)."""
-    vals = seq.bits if isinstance(seq, ZigzagSeq) else tuple(seq)
-    n = len(vals)
-    return sum(v * fib(n - k) for k, v in enumerate(vals) if v)
+    vals = _entries(seq)
+    return _weigh(vals, _weights(len(vals), False))
 
 
 def value_sfib(seq) -> int:
     """sum_i v_i * Fib(-i-2), the signed Fibonacci value."""
-    vals = seq.bits if isinstance(seq, ZigzagSeq) else tuple(seq)
-    n = len(vals)
-    return sum(v * fib(-(n - 1 - k) - 2) for k, v in enumerate(vals) if v)
+    vals = _entries(seq)
+    return _weigh(vals, _weights(len(vals), True))
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +219,15 @@ def to_downup(n: int, parity: str = "odd") -> ZigzagSeq:
     return ZigzagSeq(tuple(bits), DOWN_UP)
 
 
-def _search_unique(n: int, orientation: str, lengths, window: int) -> ZigzagSeq:
+def _search_unique(n: int, orientation: str, signed: bool, lengths, window: int) -> ZigzagSeq:
+    """The one sequence of the first length in lengths whose signed (or
+    plain) Fibonacci value is n.
+
+    Each length's enum_zigzag list is scanned against that length's weight
+    list; two hits at one length fail the uniqueness assertion."""
     for length in lengths:
-        if length > window:
-            break
-        hits = [s for s in enum_zigzag(length, orientation) if value_sfib(s) == n]
+        weights = _weights(length, signed)
+        hits = [s for s in enum_zigzag(length, orientation) if _weigh(s.bits, weights) == n]
         if hits:
             if len(hits) != 1:
                 raise AssertionError(
@@ -219,12 +254,16 @@ def to_downup_sfib(n: int) -> ZigzagSeq:
     if n == 0:
         return ZigzagSeq((), DOWN_UP)
     window = _sfib_window(n)
-    return _search_unique(n, DOWN_UP, range(1, window + 1), window)
+    return _search_unique(n, DOWN_UP, True, range(1, window + 1), window)
 
 
 def to_updown(n: int, parity: str = "odd") -> ZigzagSeq:
     """The unique up/down sequence of the given length parity whose
-    Fibonacci value is n, at minimal length (bounded search)."""
+    Fibonacci value is n, at minimal length.
+
+    Scans the up/down sequences of that one length against its weight
+    list (_search_unique); they take each value below Fib(length+2) once.
+    """
     if n < 0:
         raise FptError("Fibonacci values of 0/1 sequences are non-negative")
     if parity not in ("odd", "even"):
@@ -232,10 +271,7 @@ def to_updown(n: int, parity: str = "odd") -> ZigzagSeq:
     length = _min_length(n, parity)
     if length > _SEARCH_LIMIT:
         raise BudgetExceeded(f"minimal length {length} beyond search limit")
-    hits = [s for s in enum_zigzag(length, UP_DOWN) if value_fib(s) == n]
-    if len(hits) != 1:
-        raise AssertionError(f"expected one up/down representation, got {hits}")
-    return hits[0]
+    return _search_unique(n, UP_DOWN, False, (length,), length)
 
 
 def to_updown_sfib(n: int, parity: str = "odd") -> ZigzagSeq:
@@ -247,7 +283,7 @@ def to_updown_sfib(n: int, parity: str = "odd") -> ZigzagSeq:
     if n == 0 and parity == "even":
         return ZigzagSeq((), UP_DOWN)
     window = _sfib_window(n) if n else 2
-    return _search_unique(n, UP_DOWN, range(start, window + 1, 2), window)
+    return _search_unique(n, UP_DOWN, True, range(start, window + 1, 2), window)
 
 
 def zeckendorf(n: int) -> tuple[int, ...]:
@@ -292,9 +328,12 @@ def negafibonacci(n: int) -> tuple[int, ...]:
 
 
 def _nf_hi(span: int) -> int:
-    # largest value representable with non-consecutive indices <= span
-    return sum(fib(-k) for k in range(1, span + 1) if k % 2 == 1)
+    # largest value representable with non-consecutive indices <= span: the
+    # odd k, where Fib(-k) = Fib(k), and sum_{i<=j} Fib(2i-1) = Fib(2j)
+    return fib(2 * ((span + 1) // 2))
 
 
 def _nf_lo(span: int) -> int:
-    return sum(fib(-k) for k in range(1, span + 1) if k % 2 == 0)
+    # smallest: the even k, where Fib(-k) = -Fib(k), and
+    # sum_{i<=j} Fib(2i) = Fib(2j+1) - 1
+    return 1 - fib(2 * (span // 2) + 1)

@@ -210,10 +210,18 @@ def test_zigzag_enum_counts_without_listing_past_twelve(capsys):
 
 def test_zvalues_full_sweep_flag_is_gone(capsys):
     code, out, err = run_cli(capsys, "planes", "zvalues", "--p", "3", "--m", "5", "--full-sweep")
+    assert (code, out, err) == (1, "", "error: unrecognized arguments: --full-sweep\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bogus",),
+    ("zigzag", "rep", "--kind", "updown"),
+    ("planes",),
+])
+def test_usage_error_is_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    assert [l for l in err.splitlines() if l.startswith("error:")] == [
-        "error: unrecognized arguments: --full-sweep"
-    ]
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_env_budget(monkeypatch, capsys):

@@ -9,6 +9,8 @@ from fpt.errors import BudgetExceeded, FptError
 from fpt.numth import fib
 from fpt.zigzag import (
     DOWN_UP,
+    _nf_hi,
+    _nf_lo,
     UP_DOWN,
     ZigzagSeq,
     enum_zigzag,
@@ -25,12 +27,32 @@ from fpt.zigzag import (
 )
 
 
-def brute_du(n):
-    out = []
-    for bits in itertools.product((0, 1), repeat=n):
-        if is_zigzag(bits, DOWN_UP):
-            out.append(bits)
+def brute(n, orientation=DOWN_UP):
+    return [bits for bits in itertools.product((0, 1), repeat=n) if is_zigzag(bits, orientation)]
+
+
+def recursive_du(n):
+    """The unmemoized parity recursion enum_zigzag replaced: its list order
+    is the order the CLI prints."""
+    if n == 0:
+        return [()]
+    if n == 1:
+        return [(0,), (1,)]
+    shorter2 = recursive_du(n - 2)
+    shorter1 = recursive_du(n - 1)
+    if n % 2 == 1:
+        out = [bits + (0, 0) for bits in shorter2]
+        out += [bits + (1,) for bits in shorter1]
+    else:
+        out = [bits + (1, 1) for bits in shorter2]
+        out += [bits + (0,) for bits in shorter1]
     return out
+
+
+def direct_value(bits, signed):
+    # one Fibonacci number per set bit, as the definitions read
+    n = len(bits)
+    return sum(v * fib(-(n - 1 - k) - 2 if signed else n - k) for k, v in enumerate(bits) if v)
 
 
 def test_signed_fibonacci_convention():
@@ -63,15 +85,36 @@ def test_enum_matches_known_lists():
 
 
 def test_enum_count_and_brute_force_agree():
-    for n in range(9):
-        seqs = enum_zigzag(n)
-        assert len(seqs) == fib(n + 2)
-        assert {s.bits for s in seqs} == set(brute_du(n))
-    for n in range(9):
-        ud = enum_zigzag(n, UP_DOWN)
-        assert len(ud) == fib(n + 2)
-        for s in ud:
-            assert is_zigzag(s.bits, UP_DOWN)
+    for orientation in (DOWN_UP, UP_DOWN):
+        for n in range(15):
+            seqs = enum_zigzag(n, orientation)
+            assert len(seqs) == fib(n + 2)
+            assert {s.bits for s in seqs} == set(brute(n, orientation))
+
+
+def test_enum_order_is_the_recursive_order():
+    for n in range(21):
+        du = recursive_du(n)
+        assert [s.bits for s in enum_zigzag(n, DOWN_UP)] == du
+        assert [s.bits for s in enum_zigzag(n, UP_DOWN)] == [tuple(1 - b for b in bits) for bits in du]
+
+
+def test_generated_sequences_pass_validation():
+    for orientation in (DOWN_UP, UP_DOWN):
+        for n in range(15):
+            for s in enum_zigzag(n, orientation):
+                checked = ZigzagSeq(s.bits, s.orientation)
+                assert s == checked and hash(s) == hash(checked) and s.orientation == orientation
+
+
+def test_unknown_orientation_is_refused():
+    msg = "^unknown orientation 'sideways'$"
+    with pytest.raises(FptError, match=msg):
+        enum_zigzag(3, "sideways")
+    with pytest.raises(FptError, match=msg):
+        is_zigzag((0, 1, 0), "sideways")
+    with pytest.raises(FptError, match=msg):
+        ZigzagSeq((0, 1, 0), "sideways")
 
 
 def test_value_base():
@@ -88,6 +131,14 @@ def test_value_fib_and_sfib_examples():
     assert value_sfib((1, 0, 0, 1, 0, 0, 0, 0, 1)) == -1 + 13 - 55
     assert value_fib((0, 0, 0)) == 0
     assert value_fib((1, 0, 1)) == fib(3) + fib(1)
+
+
+def test_values_match_one_fibonacci_number_per_entry():
+    rng = random.Random(13)
+    for _ in range(300):
+        vals = tuple(rng.randrange(-3, 4) for _ in range(rng.randrange(25)))
+        assert value_fib(vals) == direct_value(vals, False)
+        assert value_sfib(vals) == direct_value(vals, True)
 
 
 def test_downup_fib_bijection():
@@ -223,11 +274,45 @@ def test_negafibonacci_unique_by_exhaustion():
         assert negafibonacci(v) == combos[0]
 
 
+def test_searches_return_the_shortest_brute_force_hit():
+    # value -> hits at the shortest length holding it, per orientation,
+    # value kind and length parity (None: either parity)
+    shortest = {}
+    for orientation in (DOWN_UP, UP_DOWN):
+        for n in range(16):
+            for bits in brute(n, orientation):
+                for signed in (False, True):
+                    for parity in (n % 2, None):
+                        key = (orientation, signed, parity, direct_value(bits, signed))
+                        length, hits = shortest.setdefault(key, (n, []))
+                        if length == n:
+                            hits.append(bits)
+
+    def only(orientation, signed, parity, n):
+        hits = shortest[orientation, signed, parity, n][1]
+        assert len(hits) == 1, (orientation, signed, parity, n, hits)
+        return hits[0]
+
+    for n in range(-300, 301):
+        assert to_downup_sfib(n).bits == (() if n == 0 else only(DOWN_UP, True, None, n))
+        for parity, odd in (("odd", 1), ("even", 0)):
+            want = () if n == 0 and not odd else only(UP_DOWN, True, odd, n)
+            assert to_updown_sfib(n, parity).bits == want
+            if n >= 0:
+                assert to_updown(n, parity).bits == only(UP_DOWN, False, odd, n)
+
+
+def test_negafibonacci_bounds_are_the_partial_sums():
+    for span in range(81):
+        assert _nf_hi(span) == sum(fib(-k) for k in range(1, span + 1) if k % 2 == 1)
+        assert _nf_lo(span) == sum(fib(-k) for k in range(1, span + 1) if k % 2 == 0)
+
+
 def test_sequence_api():
     s = ZigzagSeq((1, 0, 1))
     assert s.as_string() == "101"
     assert len(s) == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(FptError, match=r"^\(0, 1, 1\) is not a down-up sequence$"):
         ZigzagSeq((0, 1, 1), DOWN_UP)
 
 
